@@ -39,7 +39,7 @@ struct Subject {
 }
 
 impl Subject {
-    fn build(name: &str, keyspace: u64, sorted: bool, evict: bool) -> Subject {
+    fn build(name: &str, keyspace: u64, evict: bool) -> Subject {
         let d = Deployment {
             tracked: true,
             ..Deployment::simple(keyspace)
@@ -50,7 +50,6 @@ impl Subject {
                     &d,
                     bench::UpSkipListOpts {
                         keys_per_node: 16,
-                        sorted_lookups: sorted,
                         evict_one_in: if evict { 4 } else { 0 },
                         ..Default::default()
                     },
@@ -172,13 +171,12 @@ fn main() {
     let ops = args.u64("ops", 5_000);
     let corrupt = args.flag("corrupt");
     let structure = args.get("structure").unwrap_or("upskiplist").to_string();
-    let sorted = args.flag("sorted");
     let evict = args.flag("evict");
 
     let mut linearizable = 0u64;
     let mut violations_found = 0u64;
     for trial in 0..trials {
-        let subject = Subject::build(&structure, keyspace, sorted, evict);
+        let subject = Subject::build(&structure, keyspace, evict);
         let ticket = Ticket::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(trial);
 

@@ -13,9 +13,13 @@
 //! `--json` additionally writes the same rows as a machine-readable report,
 //! and `--metrics PATH` writes a standardized [`MetricsReport`] including
 //! the structure counters (finger hit rate, shadow hit rate, hops per
-//! traversal). `--gate` exits non-zero unless the shadow descent cuts
-//! reads/op by at least 25% vs the shadow-off batched descent at the
-//! largest key count and batch size (the CI smoke regression check).
+//! traversal, in-node tag hits and fallbacks). `--gate` exits non-zero
+//! unless the shadow descent cuts reads/op by at least 25% vs the
+//! shadow-off batched descent at the largest key count and batch size;
+//! `--gate-reads N` exits non-zero unless a warm single get (the
+//! `shadowed` variant at the largest key count) costs at most `N` pmem
+//! line reads — the absolute budget of the tag-steered in-node search,
+//! meant for `--keys-per-node 256` (the CI smoke regression checks).
 
 use bench::metrics::{push_struct_rows, write_report};
 use bench::{Args, Deployment, UpSkipListOpts};
@@ -126,6 +130,9 @@ fn main() {
     let batches = args.usize_list("batch", "8,32,128");
     let keys_per_node = args.usize("keys-per-node", 256);
     let gate = args.get("gate").is_some();
+    let gate_reads: Option<f64> = args
+        .get("gate-reads")
+        .map(|v| v.parse().expect("--gate-reads must be a number"));
 
     let mut variants: Vec<(&'static str, bool, bool, usize)> = vec![
         ("seed", false, false, 1),
@@ -172,7 +179,7 @@ fn main() {
         out.push_str("  \"results\": [\n");
         for (i, r) in rows.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"variant\": \"{}\", \"records\": {}, \"threads\": {}, \"batch\": {}, \"shadow\": {}, \"mops\": {:.4}, \"pmem_reads_per_op\": {:.2}}}{}\n",
+                "    {{\"variant\": \"{}\", \"records\": {}, \"threads\": {}, \"batch\": {}, \"shadow\": {}, \"mops\": {:.4}, \"pmem_reads_per_op\": {:.2}, \"tag_hits\": {}, \"tag_fallbacks\": {}}}{}\n",
                 r.variant,
                 r.records,
                 r.threads,
@@ -180,6 +187,8 @@ fn main() {
                 r.shadow,
                 r.mops,
                 r.reads_per_op,
+                r.structure.tag_hits,
+                r.structure.tag_fallbacks,
                 if i + 1 == rows.len() { "" } else { "," }
             ));
         }
@@ -238,6 +247,20 @@ fn main() {
         eprintln!(
             "GATE OK: shadow-on reads/op {:.2} <= 75% of shadow-off ({:.2})",
             on.reads_per_op, limit
+        );
+    }
+    if let Some(limit) = gate_reads {
+        let warm = rows.iter().rev().find(|r| r.variant == "shadowed").unwrap();
+        if warm.reads_per_op > limit {
+            eprintln!(
+                "GATE FAIL: {:.2} pmem reads per warm get at {} keys/node exceeds {limit}",
+                warm.reads_per_op, keys_per_node
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "GATE OK: {:.2} pmem reads per warm get at {} keys/node <= {limit}",
+            warm.reads_per_op, keys_per_node
         );
     }
 }

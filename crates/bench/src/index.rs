@@ -187,8 +187,6 @@ pub struct UpSkipListOpts {
     /// Keys per multi-key node (§5.1.2 uses 256; 1 reproduces the
     /// single-key variant of Fig 5.3).
     pub keys_per_node: usize,
-    /// Sort node keys on lookup paths (crash campaigns exercise both).
-    pub sorted_lookups: bool,
     /// DRAM search fingers (the traversal experiment toggles these).
     pub fingers: bool,
     /// DRAM index shadow for the upper levels (the traversal experiment
@@ -209,7 +207,6 @@ impl Default for UpSkipListOpts {
     fn default() -> Self {
         Self {
             keys_per_node: 16,
-            sorted_lookups: false,
             fingers: true,
             shadow: true,
             shadow_capacity: 0,
@@ -242,7 +239,6 @@ pub fn build_upskiplist_at(
     home_node: u16,
 ) -> Arc<UpSkipList> {
     let mut cfg = sized_config(d, opts.keys_per_node);
-    cfg.sorted_lookups = opts.sorted_lookups;
     cfg.fingers = opts.fingers;
     cfg.shadow = opts.shadow;
     let mut b = sized_builder(d, cfg, opts.evict_one_in);
@@ -405,12 +401,11 @@ mod tests {
     #[test]
     fn opts_cover_the_old_constructor_trio() {
         let d = Deployment::counted(500);
-        // sorted + eviction (old build_upskiplist_opts)
+        // eviction (old build_upskiplist_opts)
         let l = build_upskiplist(
             &d,
             UpSkipListOpts {
                 keys_per_node: 16,
-                sorted_lookups: true,
                 evict_one_in: 4,
                 ..Default::default()
             },

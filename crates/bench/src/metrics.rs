@@ -151,7 +151,7 @@ pub fn push_struct_rows(
     structure: &str,
     m: &upskiplist::StructMetricsSnapshot,
 ) {
-    let rows: [(&str, u64); 20] = [
+    let rows: [(&str, u64); 22] = [
         ("cas_retries", m.cas_retries),
         ("lock_waits", m.lock_waits),
         ("node_splits", m.node_splits),
@@ -162,6 +162,8 @@ pub fn push_struct_rows(
         ("shadow_rebuilds", m.shadow_rebuilds),
         ("shadow_invalidations", m.shadow_invalidations),
         ("prefetch_issued", m.prefetch_issued),
+        ("tag_hits", m.tag_hits),
+        ("tag_fallbacks", m.tag_fallbacks),
         ("compactions", m.compactions),
         ("nodes_reclaimed", m.nodes_reclaimed),
         ("alloc_fast_path", m.alloc.fast_allocs),

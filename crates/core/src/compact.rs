@@ -42,9 +42,11 @@ impl UpSkipList {
         // (one generation bump) and throw the shadow image away outright
         // before any block can be recycled: unlike fingers, stale shadow
         // entries are used as hints even past a generation mismatch, so
-        // the image itself must not outlive the nodes it points at.
+        // the image itself must not outlive the nodes it points at. The
+        // in-node search tags go with it (recycled blocks get fresh ones).
         self.invalidate_structure();
         self.shadow.discard();
+        self.discard_tags();
         let epoch = self.epoch();
         let mut reclaimed = 0;
         let mut pred = self.head;

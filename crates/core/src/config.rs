@@ -23,11 +23,6 @@ pub struct ListConfig {
     /// Key-value pairs per node (the thesis evaluates 256; 1 reproduces a
     /// classic one-key-per-node skip list for the Fig 5.3 comparison).
     pub keys_per_node: usize,
-    /// Use the sorted-base-region lookup (binary search over each node's
-    /// initial sorted keys, linear scan over later claims) — the
-    /// optimization the thesis lists as future work in Chapter 7. Off by
-    /// default to match the evaluated algorithm.
-    pub sorted_lookups: bool,
     /// Keep per-thread *search fingers*: volatile caches of a recent
     /// traversal's predecessor towers that let the next descent start from
     /// the deepest still-valid hint instead of the head (*Skiplists with
@@ -48,7 +43,6 @@ impl Default for ListConfig {
         Self {
             max_height: MAX_HEIGHT,
             keys_per_node: 16,
-            sorted_lookups: false,
             fingers: true,
             shadow: true,
         }
@@ -69,16 +63,9 @@ impl ListConfig {
         Self {
             max_height,
             keys_per_node,
-            sorted_lookups: false,
             fingers: true,
             shadow: true,
         }
-    }
-
-    /// Enable the sorted-base-region lookup extension.
-    pub fn with_sorted_lookups(mut self) -> Self {
-        self.sorted_lookups = true;
-        self
     }
 
     /// Disable the per-thread search-finger cache (the seed head-descent
@@ -103,13 +90,13 @@ impl ListConfig {
             | ((self.keys_per_node as u64) << 8)
             | ((!self.shadow as u64) << 60)
             | ((!self.fingers as u64) << 61)
-            | ((self.sorted_lookups as u64) << 62)
     }
 
-    /// Unpack from a root word.
+    /// Unpack from a root word. Bit 62 selected the retired sorted-lookup
+    /// mode and is ignored: nothing assumes key order inside a node any
+    /// more, so a pool formatted with it opens like any other.
     pub fn unpack(word: u64) -> Self {
         let mut cfg = Self::new((word & 0xff) as usize, ((word >> 8) & 0xffff_ffff) as usize);
-        cfg.sorted_lookups = word >> 62 & 1 == 1;
         cfg.fingers = word >> 61 & 1 == 0;
         cfg.shadow = word >> 60 & 1 == 0;
         cfg
@@ -125,9 +112,7 @@ mod tests {
     fn pack_roundtrip() {
         let c = ListConfig::new(17, 256);
         assert_eq!(ListConfig::unpack(c.pack()), c);
-        let c = ListConfig::new(17, 256)
-            .with_sorted_lookups()
-            .without_fingers();
+        let c = ListConfig::new(17, 256).without_fingers();
         assert_eq!(ListConfig::unpack(c.pack()), c);
         let c = ListConfig::new(17, 256).without_shadow();
         assert_eq!(ListConfig::unpack(c.pack()), c);
@@ -143,6 +128,12 @@ mod tests {
         let legacy = (17u64) | (256u64 << 8);
         assert!(ListConfig::unpack(legacy).fingers);
         assert!(ListConfig::unpack(legacy).shadow);
+    }
+
+    #[test]
+    fn retired_sorted_lookup_bit_is_ignored() {
+        let c = ListConfig::new(17, 256);
+        assert_eq!(ListConfig::unpack(c.pack() | 1 << 62), c);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! are consistent, but the iteration as a whole is weakly consistent (the
 //! thesis leaves fully linearizable scans as future work).
 
+use std::cell::RefCell;
+
 use riv::RivPtr;
 
 use crate::config::{KEY_NULL, TOMBSTONE};
@@ -45,45 +47,53 @@ impl UpSkipList {
             self.next(self.head(), 0)
         };
         let mut out = Vec::with_capacity(limit);
+        let mut pairs = Vec::new();
         while node != self.tail() && out.len() < limit {
-            for (k, v) in self.snapshot_node(node) {
-                if k >= from && out.len() < limit {
-                    out.push((k, v));
-                }
-            }
+            self.snapshot_node(node, &mut pairs);
+            let wanted = pairs.iter().filter(|&&(k, _)| k >= from);
+            out.extend(wanted.take(limit - out.len()));
             node = self.next(node, 0);
         }
         out
     }
 
-    /// Validated snapshot of one node's live pairs, sorted.
-    pub(crate) fn snapshot_node(&self, node: RivPtr) -> Vec<(u64, u64)> {
-        let kpn = self.cfg.keys_per_node;
-        let mut keys = vec![0u64; kpn];
-        let mut vals = vec![0u64; kpn];
-        loop {
-            if rwlock::is_write_locked(rwlock::load(self.space(), node)) {
-                std::hint::spin_loop();
-                continue;
-            }
-            let sc = self.split_count(node);
-            self.space()
-                .read_slice(node.add(key_off(&self.cfg, 0) as u32), &mut keys);
-            self.space()
-                .read_slice(node.add(val_off(&self.cfg, 0) as u32), &mut vals);
-            if self.split_count(node) == sc
-                && !rwlock::is_write_locked(rwlock::load(self.space(), node))
-            {
-                break;
-            }
+    /// Validated snapshot of one node's live pairs, sorted, into `pairs`
+    /// (cleared first). The key and value arrays are streamed into
+    /// per-thread buffers, so a scan allocates nothing per node visited.
+    pub(crate) fn snapshot_node(&self, node: RivPtr, pairs: &mut Vec<(u64, u64)>) {
+        thread_local! {
+            /// Key and value arrays of the one node a thread is reading.
+            static NODE: RefCell<(Vec<u64>, Vec<u64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
         }
-        let mut pairs: Vec<(u64, u64)> = keys
-            .into_iter()
-            .zip(vals)
-            .filter(|&(k, v)| k != KEY_NULL && v != TOMBSTONE)
-            .collect();
+        let kpn = self.cfg.keys_per_node;
+        NODE.with(|b| {
+            let (keys, vals) = &mut *b.borrow_mut();
+            keys.resize(kpn, 0);
+            vals.resize(kpn, 0);
+            loop {
+                if rwlock::is_write_locked(rwlock::load(self.space(), node)) {
+                    std::hint::spin_loop();
+                    continue;
+                }
+                let sc = self.split_count(node);
+                self.space()
+                    .read_slice(node.add(key_off(&self.cfg, 0) as u32), keys);
+                self.space()
+                    .read_slice(node.add(val_off(&self.cfg, 0) as u32), vals);
+                if self.split_count(node) == sc
+                    && !rwlock::is_write_locked(rwlock::load(self.space(), node))
+                {
+                    break;
+                }
+            }
+            pairs.clear();
+            let live = keys.iter().zip(vals.iter());
+            pairs.extend(
+                live.filter(|&(&k, &v)| k != KEY_NULL && v != TOMBSTONE)
+                    .map(|(&k, &v)| (k, v)),
+            );
+        });
         pairs.sort_unstable();
-        pairs
     }
 }
 
@@ -100,7 +110,7 @@ impl Iterator for Iter<'_> {
             if self.node == self.list.tail() {
                 return None;
             }
-            self.buffer = self.list.snapshot_node(self.node);
+            self.list.snapshot_node(self.node, &mut self.buffer);
             self.idx = 0;
             self.node = self.list.next(self.node, 0);
         }

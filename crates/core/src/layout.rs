@@ -43,11 +43,9 @@ pub const N_LOCK: u64 = 3;
 pub const N_HEIGHT: u64 = 4;
 /// Number of completed splits (readers validate against it, Function 9).
 pub const N_SPLIT_COUNT: u64 = 5;
-/// Length of the node's *sorted base region*: the first `N_SORTED` key
-/// slots were written, in ascending order, when the node was initialized
-/// (by a split or a fresh insert) and are never claimed afterwards. Used
-/// by the optional binary-search lookup (`ListConfig::sorted_lookups`);
-/// immutable after initialization, so it adds no recovery obligations.
+/// Reserved (written as 0). Held the sorted-base-region length of the
+/// retired binary-search lookup; the word stays so `node_words` — and with
+/// it every formatted pool's block size — is unchanged.
 pub const N_SORTED: u64 = 6;
 /// First key slot. The key array directly follows the header so that
 /// `keys[0]` shares the node's first cache line with the metadata a

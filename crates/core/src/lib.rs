@@ -54,6 +54,7 @@ pub mod ops;
 pub mod recovery;
 pub mod rwlock;
 pub(crate) mod shadow;
+pub(crate) mod tags;
 pub mod traverse;
 
 #[cfg(test)]
@@ -352,66 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_lookups_match_model_through_splits() {
-        use rand::{Rng, SeedableRng};
-        let l = ListBuilder {
-            list: ListConfig::new(10, 8).with_sorted_lookups(),
-            ..ListBuilder::default()
-        }
-        .create();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        let mut model = BTreeMap::new();
-        for _ in 0..5000 {
-            let k = rng.gen_range(1..=400u64);
-            match rng.gen_range(0..4) {
-                0 | 1 => {
-                    let v = rng.gen_range(0..1_000_000u64);
-                    assert_eq!(l.insert(k, v), model.insert(k, v), "insert {k}");
-                }
-                2 => assert_eq!(l.remove(k), model.remove(&k), "remove {k}"),
-                _ => assert_eq!(l.get(k), model.get(&k).copied(), "get {k}"),
-            }
-        }
-        assert_eq!(l.count_live(), model.len());
-        assert!(
-            l.node_count() > 5,
-            "splits must have happened to exercise holes"
-        );
-        l.check_invariants();
-    }
-
-    #[test]
-    fn sorted_lookups_concurrent_and_crash_safe() {
-        pmem::crash::silence_crash_panics();
-        let l = ListBuilder {
-            list: ListConfig::new(12, 8).with_sorted_lookups(),
-            mode: pmem::PersistenceMode::Tracked,
-            ..ListBuilder::default()
-        }
-        .create();
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let l = &l;
-                s.spawn(move || {
-                    pmem::thread::register(t as usize, 0);
-                    for i in 0..500u64 {
-                        let k = t * 500 + i + 1;
-                        l.insert(k, k * 3);
-                    }
-                });
-            }
-        });
-        for pool in l.space().pools() {
-            pool.simulate_crash();
-        }
-        l.recover();
-        for k in 1..=2000u64 {
-            assert_eq!(l.get(k), Some(k * 3), "key {k} lost (sorted mode)");
-        }
-        l.check_invariants();
-    }
-
-    #[test]
     fn open_reconnects_a_fresh_handle_to_existing_pools() {
         let l = ListBuilder {
             list: ListConfig::new(10, 8),
@@ -462,20 +403,6 @@ mod tests {
             assert_eq!(l2.get(k), Some(k), "key {k} lost across dirty reopen");
         }
         l2.check_invariants();
-    }
-
-    #[test]
-    fn config_roundtrips_through_reopen() {
-        let l = ListBuilder {
-            list: ListConfig::new(9, 16).with_sorted_lookups(),
-            ..ListBuilder::default()
-        }
-        .create();
-        l.insert(5, 50);
-        // Simulate reopen: the config is unpacked from the root word.
-        let packed = l.config().pack();
-        assert_eq!(ListConfig::unpack(packed), *l.config());
-        assert!(ListConfig::unpack(packed).sorted_lookups);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::finger::FingerTable;
 use crate::layout::*;
 use crate::metrics::{StructMetricsSnapshot, StructStats};
 use crate::shadow::{IndexShadow, StructureEpoch};
+use crate::tags::TagTable;
 
 /// A PMEM-resident, recoverable, NUMA-aware lock-free skip list
 /// (the thesis's UPSkipList, Chapter 4).
@@ -39,6 +40,11 @@ pub struct UpSkipList {
     /// discarded and rebuilt on every open/recover path — see the `shadow`
     /// module docs for the full contract).
     pub(crate) shadow: IndexShadow,
+    /// Volatile per-slot key tags steering the in-node search of large
+    /// nodes (`None` when the key array is small enough to stream; never
+    /// persisted, dropped on every open/recover/compact — see the `tags`
+    /// module docs for the positive-only contract).
+    pub(crate) tags: Option<TagTable>,
     /// Structure-level observability counters (DRAM-only; level derived
     /// from pool 0's [`ObsLevel`]).
     pub(crate) stats: StructStats,
@@ -185,6 +191,7 @@ impl UpSkipList {
         let pool0 = Arc::clone(alloc.space().pool(0));
         let stats = StructStats::new(pool0.obs_level());
         let list = Arc::new(Self {
+            tags: TagTable::for_list(&cfg, &alloc),
             alloc,
             cfg,
             head: RivPtr::NULL,
@@ -244,12 +251,13 @@ impl UpSkipList {
         Arc::new(Self {
             head: RivPtr::from_raw(pool0.read(ROOT_HEAD)),
             tail: RivPtr::from_raw(pool0.read(ROOT_TAIL)),
+            // Fresh volatile caches: the shadow and the tags are rebuilt
+            // from the persistent structure on first use, never recovered.
+            tags: TagTable::for_list(&cfg, &alloc),
             alloc,
             cfg,
             epoch: AtomicU64::new(epoch),
             fingers: FingerTable::new(),
-            // Fresh volatile caches: the shadow is rebuilt from the
-            // persistent levels on first use, never recovered.
             sepoch: StructureEpoch::new(),
             shadow: IndexShadow::new(),
             stats,
@@ -268,6 +276,7 @@ impl UpSkipList {
         // bump below already orphans it, but dropping the entries now frees
         // the memory and makes the rebuild-from-scratch contract explicit.)
         self.shadow.discard();
+        self.discard_tags();
         let pool0 = self.space().pool(0);
         let epoch = pool0.read(ROOT_EPOCH) + 1;
         pool0.write(ROOT_EPOCH, epoch);
@@ -427,21 +436,21 @@ impl UpSkipList {
     pub(crate) fn init_node(&self, block: RivPtr, height: usize, kvs: &[(u64, u64)]) {
         debug_assert!(height >= 1 && height <= self.cfg.max_height);
         debug_assert!(kvs.len() <= self.cfg.keys_per_node);
-        debug_assert!(
-            kvs.windows(2).all(|w| w[0].0 < w[1].0),
-            "initial keys must be sorted: the sorted base region depends on it"
-        );
         let sp = self.space();
         sp.write(block.add(N_LOCK as u32), 0);
         sp.write(block.add(N_HEIGHT as u32), height as u64);
         sp.write(block.add(N_SPLIT_COUNT as u32), 0);
-        sp.write(block.add(N_SORTED as u32), kvs.len() as u64);
+        sp.write(block.add(N_SORTED as u32), 0);
         for i in 0..self.cfg.keys_per_node {
             let (k, v) = kvs.get(i).copied().unwrap_or((KEY_NULL, TOMBSTONE));
             sp.write(block.add(key_off(&self.cfg, i) as u32), k);
             sp.write(block.add(val_off(&self.cfg, i) as u32), v);
         }
         sp.write(block.add(N_KIND as u32), KIND_NODE);
+        if let Some(tags) = &self.tags {
+            // The block may be a recycled one: overwrite every slot's tag.
+            tags.fill(block, kvs.iter().map(|kv| kv.0));
+        }
     }
 
     fn init_sentinel(&self, block: RivPtr, key0: u64) {

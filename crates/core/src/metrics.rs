@@ -1,7 +1,8 @@
 //! Structure-level observability for [`UpSkipList`](crate::UpSkipList):
 //! named counters for the events the pool-level [`pmem::Stats`] cannot see
 //! — CAS retries, node-lock acquisition failures, node splits, search-finger
-//! hits/misses, compactions, and traversal hops per level.
+//! hits/misses, in-node tag hits/fallbacks, compactions, and traversal hops
+//! per level.
 //!
 //! All counters live in an [`obs::Registry`] owned by the list, so a bench
 //! can `registry().snapshot()` before and after a phase and diff with
@@ -74,6 +75,11 @@ pub struct StructStats {
     pub(crate) shadow_invalidations: Arc<Counter>,
     /// Software prefetch hints issued by the descent (feature `prefetch`).
     pub(crate) prefetch_issued: Arc<Counter>,
+    /// In-node searches answered by a tag-steered key-word read.
+    pub(crate) tag_hits: Arc<Counter>,
+    /// In-node searches on a tagged node that fell back to the streamed
+    /// linear scan (absent key, or tags missing/stale).
+    pub(crate) tag_fallbacks: Arc<Counter>,
     /// Quiescent compaction passes.
     pub(crate) compactions: Arc<Counter>,
     /// Dead nodes unlinked and freed by compaction.
@@ -110,6 +116,8 @@ impl StructStats {
             shadow_rebuilds: registry.counter("list.shadow_rebuilds"),
             shadow_invalidations: registry.counter("list.shadow_invalidations"),
             prefetch_issued: registry.counter("list.prefetch_issued"),
+            tag_hits: registry.counter("list.tag_hits"),
+            tag_fallbacks: registry.counter("list.tag_fallbacks"),
             compactions: registry.counter("list.compactions"),
             nodes_reclaimed: registry.counter("list.nodes_reclaimed"),
             hops: std::array::from_fn(|l| registry.counter(&format!("list.hops.l{l:02}"))),
@@ -210,6 +218,20 @@ impl StructStats {
     }
 
     #[inline]
+    pub(crate) fn tag_hit(&self) {
+        if self.enabled {
+            self.tag_hits.inc();
+        }
+    }
+
+    #[inline]
+    pub(crate) fn tag_fallback(&self) {
+        if self.enabled {
+            self.tag_fallbacks.inc();
+        }
+    }
+
+    #[inline]
     pub(crate) fn compaction(&self) {
         if self.enabled {
             self.compactions.inc();
@@ -259,6 +281,8 @@ impl StructStats {
             shadow_rebuilds: self.shadow_rebuilds.value(),
             shadow_invalidations: self.shadow_invalidations.value(),
             prefetch_issued: self.prefetch_issued.value(),
+            tag_hits: self.tag_hits.value(),
+            tag_fallbacks: self.tag_fallbacks.value(),
             compactions: self.compactions.value(),
             nodes_reclaimed: self.nodes_reclaimed.value(),
             hops_per_level: std::array::from_fn(|l| self.hops[l].value()),
@@ -280,6 +304,8 @@ pub struct StructMetricsSnapshot {
     pub shadow_rebuilds: u64,
     pub shadow_invalidations: u64,
     pub prefetch_issued: u64,
+    pub tag_hits: u64,
+    pub tag_fallbacks: u64,
     pub compactions: u64,
     pub nodes_reclaimed: u64,
     pub hops_per_level: [u64; MAX_HEIGHT],
@@ -302,6 +328,8 @@ impl StructMetricsSnapshot {
             shadow_rebuilds: self.shadow_rebuilds - earlier.shadow_rebuilds,
             shadow_invalidations: self.shadow_invalidations - earlier.shadow_invalidations,
             prefetch_issued: self.prefetch_issued - earlier.prefetch_issued,
+            tag_hits: self.tag_hits - earlier.tag_hits,
+            tag_fallbacks: self.tag_fallbacks - earlier.tag_fallbacks,
             compactions: self.compactions - earlier.compactions,
             nodes_reclaimed: self.nodes_reclaimed - earlier.nodes_reclaimed,
             hops_per_level: std::array::from_fn(|l| {
@@ -359,7 +387,10 @@ mod tests {
         s.shadow_rebuild();
         s.shadow_invalidation();
         s.prefetch_issue();
+        s.tag_hit();
+        s.tag_fallback();
         let snap = s.snapshot();
+        assert_eq!((snap.tag_hits, snap.tag_fallbacks), (1, 1));
         assert_eq!(snap.shadow_hits, 1);
         assert_eq!(snap.shadow_misses, 1);
         assert_eq!(snap.shadow_rebuilds, 1);

@@ -113,13 +113,8 @@ impl UpSkipList {
                 // (see `search_raw`): a concurrent split may have moved the
                 // key out of the node that was scanned.
                 let pred0 = t.preds[0];
-                if pred0 != self.head {
-                    if rwlock::is_write_locked(rwlock::load(self.space(), pred0)) {
-                        continue;
-                    }
-                    if self.split_count(pred0) != t.split_count {
-                        continue;
-                    }
+                if pred0 != self.head && !self.node_unsplit_since(pred0, t.split_count) {
+                    continue;
                 }
                 return None;
             }
@@ -171,35 +166,11 @@ impl UpSkipList {
         } else {
             self.next(self.head, 0)
         };
+        let mut pairs = Vec::new();
         while node != self.tail && self.key0(node) <= hi {
             // Per-node snapshot with validation (as in Function 9).
-            loop {
-                if rwlock::is_write_locked(rwlock::load(self.space(), node)) {
-                    std::hint::spin_loop();
-                    continue;
-                }
-                let sc = self.split_count(node);
-                let kpn = self.cfg.keys_per_node;
-                let mut keys = vec![0u64; kpn];
-                let mut vals = vec![0u64; kpn];
-                self.space()
-                    .read_slice(node.add(key_off(&self.cfg, 0) as u32), &mut keys);
-                self.space()
-                    .read_slice(node.add(val_off(&self.cfg, 0) as u32), &mut vals);
-                let mut pairs = Vec::new();
-                for i in 0..kpn {
-                    let (k, v) = (keys[i], vals[i]);
-                    if k != KEY_NULL && k >= lo && k <= hi && v != TOMBSTONE {
-                        pairs.push((k, v));
-                    }
-                }
-                if self.split_count(node) == sc
-                    && !rwlock::is_write_locked(rwlock::load(self.space(), node))
-                {
-                    out.extend(pairs);
-                    break;
-                }
-            }
+            self.snapshot_node(node, &mut pairs);
+            out.extend(pairs.iter().filter(|&&(k, _)| k >= lo && k <= hi));
             node = self.next(node, 0);
         }
         out.sort_unstable();
@@ -312,15 +283,6 @@ impl UpSkipList {
         let mut snapshot = vec![0u64; kpn];
         self.space()
             .read_slice(node.add(key_off(&self.cfg, 0) as u32), &mut snapshot);
-        // With sorted lookups, slots inside the sorted base region are
-        // never re-claimed (a claim there would break the binary search's
-        // ordering assumption); holes punched by splits are reclaimed when
-        // the node next splits.
-        let claim_start = if self.cfg.sorted_lookups {
-            (self.space().read(node.add(crate::layout::N_SORTED as u32)) as usize).min(kpn)
-        } else {
-            0
-        };
         for i in 0..kpn {
             let slot = node.add(key_off(&self.cfg, i) as u32);
             let k = snapshot[i];
@@ -330,9 +292,12 @@ impl UpSkipList {
                 rwlock::read_unlock(self.space(), node);
                 return InsertStatus::Done(old);
             }
-            if k == KEY_NULL && i >= claim_start {
+            if k == KEY_NULL {
                 if self.space().cas(slot, KEY_NULL, key).is_ok() {
                     self.space().persist(slot, 1);
+                    if let Some(tags) = &self.tags {
+                        tags.set(node, i, key);
+                    }
                     let old = self.update(node, i, value);
                     rwlock::read_unlock(self.space(), node);
                     return InsertStatus::Done(old);
@@ -477,8 +442,6 @@ impl UpSkipList {
         // right before the publishing link CAS.
         let ep = pmem::FlushEpoch::open();
         let block = self.alloc_block(node, median);
-        // The new node keeps its keys sorted (a property BzTree exploits
-        // for binary search; ours enables the sorted-nodes ablation).
         self.init_node(block, new_height, &moved);
         self.populate_next_pointers(succs, block, new_height);
         // The bottom link must take over the split node's current successor

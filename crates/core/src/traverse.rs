@@ -257,12 +257,6 @@ impl UpSkipList {
                     );
                 }
                 if level == 0 && pred != self.head {
-                    // The internal scan streams the whole key array; start
-                    // pulling it in while the scan sets up.
-                    self.prefetch(
-                        pred.add(crate::layout::key_off(&self.cfg, 0) as u32),
-                        self.cfg.keys_per_node as u64,
-                    );
                     if let Some(i) = self.scan_internal_keys(pred, key) {
                         if self.cfg.fingers {
                             self.finger_record(epoch, sgen, 0, &preds, &key0s);
@@ -290,71 +284,73 @@ impl UpSkipList {
         }
     }
 
-    /// Function 8: linear scan of the unordered internal keys (slot 0 was
-    /// already compared during the descent). The scan streams the key
-    /// array at cache-line granularity — the sequential-prefetch behaviour
-    /// the thesis counts on to make multi-key scans cheap (§4.4).
+    /// Function 8: find `key` among the unordered internal keys (slot 0 was
+    /// already compared during the descent).
+    ///
+    /// Large nodes are searched through their volatile tags first (see the
+    /// `tags` module): only slots whose tag matches are read from pmem, and
+    /// a slot is returned only after its key word compared equal — exactly
+    /// what the linear scan would have seen. Tags never answer "absent":
+    /// with no verified candidate the search falls through to the scan.
     pub(crate) fn scan_internal_keys(&self, node: RivPtr, key: u64) -> Option<usize> {
-        let k = self.cfg.keys_per_node;
-        if k == 1 {
-            return None;
+        if let Some(tags) = &self.tags {
+            if let Some(i) = tags.find(node, key, |i| self.key_at(node, i) == key) {
+                self.stats.tag_hit();
+                return Some(i);
+            }
+            self.stats.tag_fallback();
         }
-        if self.cfg.sorted_lookups {
-            return self.scan_sorted(node, key);
-        }
-        self.scan_linear_range(node, 1, k, key)
+        self.scan_linear(node, key)
     }
 
-    /// Streamed linear scan of key slots `[from, to)`.
-    fn scan_linear_range(&self, node: RivPtr, from: usize, to: usize, key: u64) -> Option<usize> {
-        if from >= to {
+    /// The paper's search: stream key slots `[1, keys_per_node)` at
+    /// cache-line granularity — the sequential-prefetch behaviour the
+    /// thesis counts on to make multi-key scans cheap (§4.4). On a tagged
+    /// node a scan that finds its key also records the tags of everything
+    /// it streamed, so the next search of this node is steered.
+    fn scan_linear(&self, node: RivPtr, key: u64) -> Option<usize> {
+        let k = self.cfg.keys_per_node;
+        if k == 1 {
             return None;
         }
         thread_local! {
             /// Workhorse buffer: one live scan per thread at a time.
             static BUF: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
         }
+        // The scan streams the whole key array; start pulling it in while
+        // the buffer sets up.
+        self.prefetch(
+            node.add(crate::layout::key_off(&self.cfg, 1) as u32),
+            k as u64 - 1,
+        );
         BUF.with(|b| {
             let mut keys = b.borrow_mut();
             keys.clear();
-            keys.resize(to - from, 0);
+            keys.resize(k - 1, 0);
             self.space().read_slice(
-                node.add(crate::layout::key_off(&self.cfg, from) as u32),
+                node.add(crate::layout::key_off(&self.cfg, 1) as u32),
                 &mut keys,
             );
-            keys.iter().position(|&x| x == key).map(|i| i + from)
+            let found = keys.iter().position(|&x| x == key).map(|i| i + 1);
+            if let (Some(_), Some(tags)) = (found, &self.tags) {
+                tags.fill(node, std::iter::once(KEY_NULL).chain(keys.iter().copied()));
+            }
+            found
         })
     }
 
-    /// Sorted-base-region lookup (the Chapter 7 future-work optimization):
-    /// binary search over the node's initial sorted keys — falling back to
-    /// a ranged linear scan if a probe hits a slot erased by a split —
-    /// then a linear scan over the unsorted claim suffix.
-    fn scan_sorted(&self, node: RivPtr, key: u64) -> Option<usize> {
-        let k = self.cfg.keys_per_node;
-        let sorted = (self.space().read(node.add(crate::layout::N_SORTED as u32)) as usize).min(k);
-        if sorted > 1 {
-            let (mut lo, mut hi) = (1usize, sorted);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let km = self.key_at(node, mid);
-                if km == crate::config::KEY_NULL {
-                    // A split punched a hole here; order within [lo, hi)
-                    // still holds for the survivors, but probing cannot
-                    // steer — scan the remaining window.
-                    if let Some(i) = self.scan_linear_range(node, lo, hi, key) {
-                        return Some(i);
-                    }
-                    break;
-                }
-                match km.cmp(&key) {
-                    std::cmp::Ordering::Equal => return Some(mid),
-                    std::cmp::Ordering::Less => lo = mid + 1,
-                    std::cmp::Ordering::Greater => hi = mid,
-                }
-            }
-        }
-        self.scan_linear_range(node, sorted.max(1), k, key)
+    /// Function 9's validation, for a node whose keys or values were just
+    /// read under the split count `expected` (taken *before* those reads):
+    /// true when no split moved keys meanwhile and none is in flight. The
+    /// lock and the split count share the header line by design (§4.4.1),
+    /// so one streamed line answers both; the lock word is loaded first, so
+    /// a split that began after it was seen free cannot also have finished
+    /// unnoticed.
+    pub(crate) fn node_unsplit_since(&self, node: RivPtr, expected: u64) -> bool {
+        let mut hdr = [0u64; crate::layout::HEADER_WORDS];
+        self.space().read_slice(node, &mut hdr);
+        !rwlock::is_write_locked(hdr[crate::layout::N_LOCK as usize])
+            && hdr[crate::layout::N_SPLIT_COUNT as usize] == expected
     }
 
     /// Function 9: linearizable lookup. Returns the raw stored value (which
@@ -370,23 +366,15 @@ impl UpSkipList {
             let t = self.traverse(key);
             if !t.found() {
                 let pred0 = t.preds[0];
-                if pred0 != self.head {
-                    if rwlock::is_write_locked(rwlock::load(self.space(), pred0)) {
-                        continue; // keys may be mid-transfer
-                    }
-                    if self.split_count(pred0) != t.split_count {
-                        continue; // the scanned node split under us
-                    }
+                if pred0 != self.head && !self.node_unsplit_since(pred0, t.split_count) {
+                    continue; // keys were (or are) mid-transfer
                 }
                 return None;
             }
             let node = t.node();
-            if rwlock::is_write_locked(rwlock::load(self.space(), node)) {
-                continue; // mid-split: the value words are unreliable
-            }
             let value = self.val_at(node, t.key_index);
-            if self.split_count(node) != t.split_count {
-                continue; // a split moved keys under us; retry
+            if !self.node_unsplit_since(node, t.split_count) {
+                continue; // a split moved (or is moving) keys under us
             }
             return Some(value);
         }
@@ -449,27 +437,6 @@ impl UpSkipList {
                         k >= k0 && k < bound,
                         "internal key {k} outside [{k0}, {bound})"
                     );
-                }
-            }
-            // With sorted lookups the base region must stay ascending
-            // (holes from splits excepted): those slots are never
-            // re-claimed. Plain mode reclaims holes freely, so no order
-            // holds there.
-            let sorted = if !cfg.sorted_lookups {
-                0
-            } else {
-                (self.space().read(cur.add(crate::layout::N_SORTED as u32)) as usize)
-                    .min(cfg.keys_per_node)
-            };
-            let mut prev_sorted = 0u64;
-            for i in 0..sorted {
-                let k = self.key_at(cur, i);
-                if k != KEY_NULL {
-                    assert!(
-                        k > prev_sorted,
-                        "sorted base region out of order at slot {i}"
-                    );
-                    prev_sorted = k;
                 }
             }
             prev_k0 = k0;

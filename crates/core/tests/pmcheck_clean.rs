@@ -101,55 +101,54 @@ fn recovery_after_crash_is_violation_free() {
     assert_no_violations(&list, "post-crash recovery + new epoch");
 }
 
-/// The shadow's core contract, checked at the pmem-op level: a descent
-/// that starts from the DRAM image issues **zero pmem writes** — the
-/// shadow is consulted, refreshed, and rebuilt entirely in DRAM, and the
-/// read path never persists anything. Runs under `Track` so a shadow
-/// implementation that did write (and publish) would also trip PMD01.
+/// The read caches' core contract, checked at the pmem-op level: a
+/// descent that starts from the DRAM image — and, at 256 keys/node, an
+/// in-node search steered by the DRAM tags — issues **zero pmem writes**:
+/// shadow and tags are consulted, refreshed and rebuilt entirely in DRAM,
+/// and the read path never persists anything. Runs under `Track` so a
+/// cache that did write (and publish) would also trip PMD01.
 #[test]
 fn warm_shadow_read_path_makes_zero_pmem_writes() {
-    let list = ListBuilder {
-        list: ListConfig::new(10, 8),
-        pool_words: 1 << 20,
-        mode: PersistenceMode::Tracked,
-        check: PmCheckLevel::Track,
-        obs: upskiplist::ObsLevel::Counters,
-        ..ListBuilder::default()
-    }
-    .create();
-    for k in 1..=1_000u64 {
-        list.insert(k, k);
-    }
-    // Warm pass: builds the image (pure reads) and hits the fingers.
-    for k in 1..=1_000u64 {
-        list.get(k);
-    }
-    let writes_before: u64 = list
-        .space()
-        .pools()
-        .iter()
-        .map(|p| p.stats().snapshot().writes)
-        .sum();
-    for round in 0..3u64 {
-        for k in 1..=1_000u64 {
-            assert_eq!(list.get(k), Some(k), "round {round}");
+    for keys_per_node in [8, 256] {
+        let list = ListBuilder {
+            list: ListConfig::new(10, keys_per_node),
+            pool_words: 1 << 20,
+            mode: PersistenceMode::Tracked,
+            check: PmCheckLevel::Track,
+            obs: upskiplist::ObsLevel::Counters,
+            ..ListBuilder::default()
         }
-        assert_eq!(list.get(5_000), None, "miss path is read-only too");
+        .create();
+        for k in 1..=1_000u64 {
+            list.insert(k, k);
+        }
+        // Warm pass: builds the image and fills the tags (pure reads) and
+        // hits the fingers.
+        for k in 1..=1_000u64 {
+            list.get(k);
+        }
+        let writes = || -> u64 { list.space().stats_snapshot().writes };
+        let writes_before = writes();
+        for round in 0..3u64 {
+            for k in 1..=1_000u64 {
+                assert_eq!(list.get(k), Some(k), "round {round}");
+            }
+            assert_eq!(list.get(5_000), None, "miss path is read-only too");
+        }
+        assert_eq!(
+            writes() - writes_before,
+            0,
+            "cache-assisted gets must not touch pmem with a single write"
+        );
+        let m = list.struct_metrics();
+        assert!(m.shadow_hits > 0, "the warm image must actually be in use");
+        assert_eq!(
+            m.tag_hits > 0,
+            keys_per_node == 256,
+            "tags steer large nodes only"
+        );
+        assert_no_violations(&list, "warm read path");
     }
-    let writes_after: u64 = list
-        .space()
-        .pools()
-        .iter()
-        .map(|p| p.stats().snapshot().writes)
-        .sum();
-    assert_eq!(
-        writes_after - writes_before,
-        0,
-        "shadow-assisted gets must not touch pmem with a single write"
-    );
-    let m = list.struct_metrics();
-    assert!(m.shadow_hits > 0, "the warm image must actually be in use");
-    assert_no_violations(&list, "warm shadow read path");
 }
 
 #[test]

@@ -1,0 +1,296 @@
+//! Tag staleness: the per-slot key tags that steer the in-node search of
+//! large nodes are positive-only DRAM hints, and these tests make them
+//! wrong on purpose — scrambled, zeroed and aliased between operations,
+//! raced by concurrent splits, and carried across power failures,
+//! reopens and compaction — to pin the two properties the design leans on:
+//!
+//! 1. A stale, missing or aliased tag can only cost a wasted probe or a
+//!    fallback scan, never a wrong answer.
+//! 2. Tags are dropped on every open/recover/compact path and refilled
+//!    from the persistent key arrays; they are never themselves recovered.
+
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
+use lincheck::{merge, OpKind, ThreadLog, Ticket, EMPTY};
+use pmem::{CrashPlan, ObsLevel, PersistenceMode};
+use proptest::prelude::*;
+use upskiplist::{ListBuilder, ListConfig, UpSkipList};
+
+fn build(height: usize, kpn: usize, tracked: bool) -> Arc<UpSkipList> {
+    ListBuilder {
+        list: ListConfig::new(height, kpn),
+        pool_words: 1 << 21,
+        mode: if tracked {
+            PersistenceMode::Tracked
+        } else {
+            PersistenceMode::Fast
+        },
+        obs: ObsLevel::Counters,
+        ..ListBuilder::default()
+    }
+    .create()
+}
+
+fn pmem_reads(list: &UpSkipList) -> u64 {
+    list.space().stats_snapshot().reads
+}
+
+/// Ways to make every recorded tag wrong.
+#[derive(Debug, Clone, Copy)]
+enum Disturb {
+    /// Each tag becomes an unrelated one: hits turn into fallbacks.
+    Scramble(u16),
+    /// Every tag is forgotten.
+    Zero,
+    /// Tags collapse onto four values: nearly every slot is a (wrong)
+    /// candidate for nearly every key.
+    Alias,
+}
+
+fn disturb(list: &UpSkipList, how: Disturb) {
+    match how {
+        Disturb::Scramble(salt) => list.map_tags(|t| t.wrapping_mul(40_503).wrapping_add(salt)),
+        Disturb::Zero => list.map_tags(|_| 0),
+        Disturb::Alias => list.map_tags(|t| 1 + (t & 3)),
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Cmd {
+    Insert(u64, u64),
+    Remove(u64),
+    Get(u64),
+    Range(u64, u64),
+    Disturb(Disturb),
+}
+
+fn cmd_strategy(keyspace: u64) -> impl Strategy<Value = Cmd> {
+    prop_oneof![
+        (1..=keyspace, 0..u64::MAX - 1).prop_map(|(k, v)| Cmd::Insert(k, v)),
+        (1..=keyspace, 0..u64::MAX - 1).prop_map(|(k, v)| Cmd::Insert(k, v)),
+        (1..=keyspace).prop_map(Cmd::Remove),
+        (1..=keyspace).prop_map(Cmd::Get),
+        (1..=keyspace).prop_map(Cmd::Get),
+        (1..=keyspace, 1..=64u64).prop_map(|(a, len)| Cmd::Range(a, a + len)),
+        (0..u16::MAX).prop_map(|s| Cmd::Disturb(Disturb::Scramble(s))),
+        Just(Cmd::Disturb(Disturb::Zero)),
+        Just(Cmd::Disturb(Disturb::Alias)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// (i) Identical answers to a `BTreeMap` with the tags disturbed
+    /// between operations, through splits, removes and re-inserts.
+    #[test]
+    fn answers_match_the_model_whatever_the_tags_say(
+        keys_per_node in prop_oneof![Just(64usize), Just(256)],
+        cmds in proptest::collection::vec(cmd_strategy(1_200), 200..1_500),
+    ) {
+        let list = build(8, keys_per_node, false);
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        // A loaded list: nodes have split before the first random command
+        // and keep splitting under them.
+        for k in (1..=1_200u64).step_by(2) {
+            list.insert(k, k);
+            model.insert(k, k);
+        }
+        for cmd in cmds {
+            match cmd {
+                Cmd::Insert(k, v) => prop_assert_eq!(list.insert(k, v), model.insert(k, v)),
+                Cmd::Remove(k) => prop_assert_eq!(list.remove(k), model.remove(&k)),
+                Cmd::Get(k) => prop_assert_eq!(list.get(k), model.get(&k).copied()),
+                Cmd::Range(lo, hi) => {
+                    let want: Vec<(u64, u64)> =
+                        model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
+                    prop_assert_eq!(list.range(lo, hi), want);
+                }
+                Cmd::Disturb(how) => disturb(&list, how),
+            }
+        }
+        for (&k, &v) in &model {
+            prop_assert_eq!(list.get(k), Some(v));
+        }
+        list.check_invariants();
+        prop_assert_eq!(list.count_live(), model.len());
+    }
+}
+
+/// The steered path is the one warm gets actually take, at the cost the
+/// design promises: a handful of pmem lines, not the 32-line key array.
+#[test]
+fn warm_gets_are_tag_steered_and_cheap() {
+    let list = build(10, 256, false);
+    let n = 20_000u64;
+    for k in 1..=n {
+        list.insert(k * 7, k);
+    }
+    for k in 1..=n {
+        list.get(k * 7); // fills the tags, builds the shadow
+    }
+    let (m0, r0) = (list.struct_metrics(), pmem_reads(&list));
+    for k in 1..=n {
+        assert_eq!(list.get(k * 7), Some(k));
+    }
+    let m = list.struct_metrics().since(&m0);
+    let reads_per_get = (pmem_reads(&list) - r0) as f64 / n as f64;
+    assert_eq!(m.tag_fallbacks, 0, "a filled node needs no fallback scan");
+    assert!(
+        m.tag_hits >= n * 9 / 10,
+        "keys[0] hits aside: {}",
+        m.tag_hits
+    );
+    assert!(
+        reads_per_get <= 12.0,
+        "{reads_per_get} pmem reads per warm get"
+    );
+
+    // An absent key is never answered from the tags: it pays the scan.
+    let (m0, r0) = (list.struct_metrics(), pmem_reads(&list));
+    assert_eq!(list.get(11), None);
+    assert_eq!(list.struct_metrics().since(&m0).tag_fallbacks, 1);
+    assert!(pmem_reads(&list) - r0 >= 32);
+}
+
+/// (ii) Strict linearizability at 64 keys/node with four threads whose
+/// inserts keep splitting nodes under each other's tag-steered searches,
+/// while every thread also scrambles the tags now and then.
+#[test]
+fn concurrent_history_with_disturbed_tags_is_linearizable() {
+    let list = build(12, 64, false);
+    let ticket = Ticket::new();
+    let keyspace = 2_000u64;
+    let logs = Arc::new(Mutex::new(Vec::new()));
+    std::thread::scope(|s| {
+        for t in 0..4usize {
+            let list = Arc::clone(&list);
+            let logs = Arc::clone(&logs);
+            let ticket = &ticket;
+            s.spawn(move || {
+                pmem::thread::register(t, 0);
+                let mut log = ThreadLog::new(t as u32);
+                let mut x = 0x9E37u64.wrapping_mul(t as u64 + 1);
+                for i in 0..4_000u64 {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let key = 1 + (x >> 33) % keyspace;
+                    if x % 10 < 4 {
+                        let idx = log.begin(ticket, OpKind::Read, key, 0);
+                        let v = list.get(key);
+                        log.finish(ticket, idx, v.unwrap_or(EMPTY));
+                    } else {
+                        let value = ticket.next();
+                        let idx = log.begin(ticket, OpKind::Write, key, value);
+                        let old = list.insert(key, value);
+                        log.finish(ticket, idx, old.unwrap_or(EMPTY));
+                    }
+                    if i % 512 == 64 * t as u64 {
+                        disturb(&list, Disturb::Scramble(i as u16));
+                    }
+                }
+                logs.lock().unwrap().push(log);
+            });
+        }
+    });
+    let logs = Arc::try_unwrap(logs).unwrap().into_inner().unwrap();
+    let result = lincheck::check(&merge(logs, vec![]));
+    assert!(
+        result.is_linearizable(),
+        "violations: {:?}",
+        result.violations
+    );
+    assert!(result.writes_checked > 1_000);
+    let m = list.struct_metrics();
+    assert!(m.node_splits > 10, "splits must have raced the searches");
+    assert!(m.tag_hits > 0 && m.tag_fallbacks > 0);
+    list.check_invariants();
+}
+
+fn load_and_warm(list: &UpSkipList, n: u64) {
+    for k in 1..=n {
+        list.insert(k, k * 3);
+    }
+    for k in 1..=n {
+        assert_eq!(list.get(k), Some(k * 3));
+    }
+    assert!(list.tag_slabs_populated() > 0, "warm tags expected");
+}
+
+/// (iii) `recover()` under every crash-residue policy drops the tags; the
+/// reads after it are correct and refill them from pmem alone.
+#[test]
+fn every_crash_plan_drops_the_tags() {
+    pmem::crash::silence_crash_panics();
+    let plans = [
+        CrashPlan::DropAll,
+        CrashPlan::KeepAll,
+        CrashPlan::KeepUnfencedOnly,
+        CrashPlan::Seeded(41),
+        CrashPlan::Seeded(42),
+    ];
+    for &plan in &plans {
+        let list = build(10, 64, true);
+        load_and_warm(&list, 2_000);
+        list.sync();
+        for p in list.space().pools() {
+            p.simulate_crash_with(plan);
+        }
+        pmem::discard_pending();
+        list.recover();
+        assert_eq!(list.tag_slabs_populated(), 0, "[{plan}] tags recovered");
+        for k in 1..=2_000u64 {
+            assert_eq!(list.get(k), Some(k * 3), "[{plan}] key {k}");
+        }
+        assert!(list.tag_slabs_populated() > 0, "[{plan}] tags refilled");
+        list.check_invariants();
+    }
+}
+
+/// (iii) A fresh handle from `open()` starts with no tags.
+#[test]
+fn open_starts_without_tags() {
+    let list = build(10, 256, true);
+    load_and_warm(&list, 3_000);
+    list.close();
+    let space = Arc::clone(list.space());
+    let acfg = *list.allocator().config();
+    drop(list);
+    let list = UpSkipList::open(pmalloc::Allocator::new(space, acfg));
+    assert_eq!(list.tag_slabs_populated(), 0);
+    for k in 1..=3_000u64 {
+        assert_eq!(list.get(k), Some(k * 3));
+    }
+    assert!(list.tag_slabs_populated() > 0);
+}
+
+/// (iii) `compact()` frees nodes, so it drops the tags first; recycled
+/// blocks get fresh ones.
+#[test]
+fn compaction_drops_the_tags() {
+    let list = build(10, 64, false);
+    load_and_warm(&list, 4_000);
+    for k in 1_000..=3_000u64 {
+        list.remove(k);
+    }
+    assert!(
+        list.compact() > 0,
+        "a 2001-key hole must empty 64-key nodes"
+    );
+    assert_eq!(list.tag_slabs_populated(), 0);
+    for k in 1_000..=3_000u64 {
+        assert_eq!(list.get(k), None);
+        assert_eq!(list.insert(k, k + 1), None);
+    }
+    for k in 1..=4_000u64 {
+        let want = if (1_000..=3_000).contains(&k) {
+            k + 1
+        } else {
+            k * 3
+        };
+        assert_eq!(list.get(k), Some(want), "key {k}");
+    }
+    list.check_invariants();
+}

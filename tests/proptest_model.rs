@@ -28,15 +28,12 @@ proptest! {
 
     #[test]
     fn matches_btreemap_for_any_op_sequence(
-        keys_per_node in 1usize..12,
+        keys_per_node in prop_oneof![Just(4usize), Just(16), Just(64)],
         max_height in 3usize..10,
-        sorted_lookups in proptest::bool::ANY,
         cmds in proptest::collection::vec(cmd_strategy(120), 1..400),
     ) {
-        let mut cfg = ListConfig::new(max_height, keys_per_node);
-        cfg.sorted_lookups = sorted_lookups;
         let list = ListBuilder {
-            list: cfg,
+            list: ListConfig::new(max_height, keys_per_node),
             pool_words: 1 << 20,
             ..ListBuilder::default()
         }
