@@ -15,6 +15,9 @@
 //! crash_sweep --smoke --crash-in-epoch   # + epoch-boundary points (PreSweep /
 //!                                        #   PostSweep: die mid-prepare and
 //!                                        #   between sweep and publish CAS)
+//! crash_sweep --smoke --structures upskiplist --keys-per-node 64
+//!                                        # the skip list with in-node tags:
+//!                                        #   inserts on the single-stream path
 //! ```
 
 use bench::args::Args;
@@ -35,6 +38,7 @@ fn main() {
     let nested = !args.flag("no-nested");
     let pmcheck = args.flag("pmcheck");
     let crash_in_epoch = args.flag("crash-in-epoch");
+    let keys_per_node = args.usize("keys-per-node", 8);
     let structures = args.list("structures", "upskiplist,pmalloc,pmalloc-mag,pmwcas,pmemtx");
 
     let cfg = SweepConfig {
@@ -59,7 +63,11 @@ fn main() {
     let mut outcomes: Vec<SweepOutcome> = Vec::new();
     for s in &structures {
         let out = match s.as_str() {
-            "upskiplist" => sweep("upskiplist", &|seed| SkipListSubject::new(seed, ops), &cfg),
+            "upskiplist" => sweep(
+                "upskiplist",
+                &|seed| SkipListSubject::with_node_size(seed, ops, keys_per_node),
+                &cfg,
+            ),
             "pmalloc" => sweep("pmalloc", &|seed| AllocSubject::new(seed, ops), &cfg),
             // Lease fast path on: crash points land inside lease
             // acquisition, mid-magazine runs, and outbox flushes.
@@ -98,7 +106,7 @@ fn main() {
         // Epoch-boundary states: the victim op dies mid-prepare (PreSweep)
         // or with its node durable but unpublished (PostSweep); recovery
         // must show no trace of it and still serve allocations.
-        let out = sweep_epoch_points(&cfg);
+        let out = sweep_epoch_points(&cfg, keys_per_node);
         println!(
             "  {:<12} {:>5} states  {:>3} failures  ({} fired an epoch point)",
             out.name,

@@ -83,9 +83,19 @@ pub struct SkipListSubject {
 }
 
 impl SkipListSubject {
+    /// The standard subject: 8 keys per node.
     pub fn new(seed: u64, ops: u64) -> Self {
+        Self::with_node_size(seed, ops, 8)
+    }
+
+    /// The subject at `keys_per_node` keys per node, its keyspace scaled
+    /// along (six nodes' worth) so the workload keeps splitting nodes. At
+    /// more than 32 keys per node the list carries in-node tags, and
+    /// inserts take the single-stream path: the crash points then land
+    /// between its slot-claim persist and its value persist too.
+    pub fn with_node_size(seed: u64, ops: u64, keys_per_node: usize) -> Self {
         let list = ListBuilder {
-            list: ListConfig::new(10, 8),
+            list: ListConfig::new(10, keys_per_node),
             pool_words: 1 << 17,
             mode: PersistenceMode::Tracked,
             num_arenas: 2,
@@ -98,7 +108,7 @@ impl SkipListSubject {
             list,
             seed,
             ops,
-            keyspace: 48,
+            keyspace: 6 * keys_per_node as u64,
             next_val: 1,
             model: BTreeMap::new(),
             inflight: None,
@@ -677,11 +687,13 @@ fn drive_point<S: CrashSubject>(
 pub fn run_epoch_point(
     seed: u64,
     ops: u64,
+    keys_per_node: usize,
     arm_at: u64,
     point: EpochCrashPoint,
     plan: CrashPlan,
 ) -> Result<bool, String> {
-    let mut s = SkipListSubject::new(seed, ops).with_epoch_crash(point, arm_at);
+    let mut s =
+        SkipListSubject::with_node_size(seed, ops, keys_per_node).with_epoch_crash(point, arm_at);
     let first = stage(|| s.workload()).map_err(|e| format!("workload: {e}"))?;
     pmem::disarm_epoch_crash();
     let fired = matches!(first, Stage::Crashed);
@@ -814,7 +826,7 @@ pub fn sweep<S: CrashSubject>(
 /// whose arm point lands after the last one simply completes — the
 /// outcome's `fired` counts how many states actually crashed at an epoch
 /// boundary (callers asserting coverage should check it is non-zero).
-pub fn sweep_epoch_points(cfg: &SweepConfig) -> SweepOutcome {
+pub fn sweep_epoch_points(cfg: &SweepConfig, keys_per_node: usize) -> SweepOutcome {
     let mut out = SweepOutcome {
         name: "upskiplist-epoch",
         states: 0,
@@ -831,7 +843,7 @@ pub fn sweep_epoch_points(cfg: &SweepConfig) -> SweepOutcome {
             for point in [EpochCrashPoint::PreSweep, EpochCrashPoint::PostSweep] {
                 for &plan in &cfg.plans {
                     out.states += 1;
-                    match run_epoch_point(seed, cfg.ops, arm_at, point, plan) {
+                    match run_epoch_point(seed, cfg.ops, keys_per_node, arm_at, point, plan) {
                         Ok(true) => out.fired += 1,
                         Ok(false) => {}
                         Err(msg) => {
@@ -896,7 +908,7 @@ mod tests {
     fn skiplist_epoch_crash_sweep_smoke() {
         pmem::crash::silence_crash_panics();
         let cfg = quick();
-        let out = sweep_epoch_points(&cfg);
+        let out = sweep_epoch_points(&cfg, 8);
         assert_eq!(out.states, 24); // 3 arm points × 2 boundaries × 4 plans
         assert!(out.fired > 0, "no epoch crash point ever fired");
         assert!(out.failures.is_empty(), "{:?}", out.failures);

@@ -9,6 +9,7 @@ use crate::config::{KEY_NULL, MAX_HEIGHT, MAX_USER_KEY, MIN_USER_KEY, TOMBSTONE}
 use crate::layout::{key_off, next_off_cfg, node_words, val_off, N_SPLIT_COUNT};
 use crate::list::UpSkipList;
 use crate::rwlock;
+use crate::traverse::KEY_BUF;
 
 /// Outcome of an attempt to place a key into an existing node.
 enum InsertStatus {
@@ -41,7 +42,7 @@ impl UpSkipList {
         );
         assert!(value != TOMBSTONE, "value {value} reserved (tombstone)");
         loop {
-            let t = self.traverse(key);
+            let t = self.traverse_for_insert(key);
             if t.found() {
                 let node = t.node();
                 if !self.ensure_current_epoch(node) {
@@ -256,8 +257,16 @@ impl UpSkipList {
         true
     }
 
-    /// Function 16: place the key into the node that must contain it,
-    /// claiming an empty slot with a CAS under the read lock.
+    /// Function 16: place the key into the node that must contain it —
+    /// update it where it already sits, else claim an empty slot with a CAS
+    /// under the read lock.
+    ///
+    /// This is where an insert decides "present". The writer's descent
+    /// proves nothing on a tag miss, so the one stream of the key array
+    /// taken here does both jobs, in this order: search the *whole*
+    /// snapshot for `key`, and only then go for the empty slots. Claiming
+    /// the first hole met on the way would duplicate a key that sits behind
+    /// it — splits erase moved keys in place, so holes precede survivors.
     fn insert_into_existing(
         &self,
         key: u64,
@@ -277,42 +286,45 @@ impl UpSkipList {
             rwlock::read_unlock(self.space(), node);
             return InsertStatus::Restart;
         }
-        // Stream the key array once; slots claimed concurrently are
-        // re-validated by the CAS below.
         let kpn = self.cfg.keys_per_node;
-        let mut snapshot = vec![0u64; kpn];
-        self.space()
-            .read_slice(node.add(key_off(&self.cfg, 0) as u32), &mut snapshot);
-        for i in 0..kpn {
-            let slot = node.add(key_off(&self.cfg, i) as u32);
-            let k = snapshot[i];
-            if k == key {
-                // Another thread inserted it first; fall back to updating.
-                let old = self.update(node, i, value);
-                rwlock::read_unlock(self.space(), node);
-                return InsertStatus::Done(old);
+        let placed = KEY_BUF.with(|b| {
+            let mut snapshot = b.borrow_mut();
+            snapshot.resize(kpn, 0); // every word is overwritten below
+            self.space()
+                .read_slice(node.add(key_off(&self.cfg, 0) as u32), &mut snapshot);
+            if let Some(i) = snapshot.iter().position(|&k| k == key) {
+                // Present, yet the descent reported a miss: the tags are
+                // cold (first write since open/recover) or a racing insert
+                // placed the key. Record what was just streamed, so the
+                // next writer of this node is steered.
+                if let Some(tags) = &self.tags {
+                    tags.fill(node, snapshot.iter().copied());
+                }
+                return Some(self.update(node, i, value));
             }
-            if k == KEY_NULL {
+            // Absent as of the snapshot. Slots only fill while the read
+            // lock is held, and every inserter tries the holes it saw in
+            // ascending order, so a racing insert of `key` either shows in
+            // the snapshot or wins a CAS on a slot tried here.
+            for i in (0..kpn).filter(|&i| snapshot[i] == KEY_NULL) {
+                let slot = node.add(key_off(&self.cfg, i) as u32);
                 if self.space().cas(slot, KEY_NULL, key).is_ok() {
                     self.space().persist(slot, 1);
                     if let Some(tags) = &self.tags {
                         tags.set(node, i, key);
                     }
-                    let old = self.update(node, i, value);
-                    rwlock::read_unlock(self.space(), node);
-                    return InsertStatus::Done(old);
+                    return Some(self.update(node, i, value));
                 }
                 // Failed to claim: if the winner inserted our key, update.
                 self.stats.cas_retry();
                 if self.space().read(slot) == key {
-                    let old = self.update(node, i, value);
-                    rwlock::read_unlock(self.space(), node);
-                    return InsertStatus::Done(old);
+                    return Some(self.update(node, i, value));
                 }
             }
-        }
+            None
+        });
         rwlock::read_unlock(self.space(), node);
-        InsertStatus::NeedSplit
+        placed.map_or(InsertStatus::NeedSplit, InsertStatus::Done)
     }
 
     /// Function 17: swing predecessors' next pointers level by level, from

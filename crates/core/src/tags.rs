@@ -7,14 +7,17 @@
 //! - **Positive-only hints.** A tag equal to the wanted key's says "read
 //!   this slot's key word from pmem and compare"; nothing else is ever
 //!   concluded from a tag. "Absent" is never answered from DRAM: when no
-//!   candidate verifies, the caller falls back to the streamed linear scan.
-//!   A stale, missing or aliased tag therefore costs at most one wasted
-//!   word read (or one fallback scan) and can never change an answer, and
-//!   the split-count/lock validation of Function 9 runs unchanged on
-//!   whatever slot index the search returns.
+//!   candidate verifies, a reader falls back to the streamed linear scan,
+//!   and a writer (whose descent stops at the probe) goes on to stream the
+//!   key array under the node's read lock, where it searches for the key
+//!   before it claims a slot. A stale, missing or aliased tag therefore
+//!   costs at most one wasted word read (or one stream) and can never
+//!   change an answer, and the split-count/lock validation of Function 9
+//!   runs unchanged on whatever slot index the search returns.
 //! - **Volatile only.** No layout word, no flush, no fence. Tags are filled
-//!   by the first fallback scan that finds its key, by the slot claim of an
-//!   insert (after its persist) and by node initialization; every
+//!   by the first fallback scan that finds its key, by an insert — its slot
+//!   claim (after its persist), or its whole stream when that meets a key
+//!   the probe missed — and by node initialization; every
 //!   `open`/`recover`/`compact` drops them wholesale next to the index
 //!   shadow.
 //! - **Direct-mapped, lock-free.** A node's tags are packed four to a

@@ -16,6 +16,12 @@ use crate::{config::MAX_HEIGHT, rwlock};
 /// Sentinel for "key not present".
 pub(crate) const NO_INDEX: usize = usize::MAX;
 
+thread_local! {
+    /// Workhorse buffer for one node's key array. One live stream per
+    /// thread at a time: the in-node scan, or an insert's snapshot.
+    pub(crate) static KEY_BUF: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// Result of a traversal: per-level predecessors/successors, plus where the
 /// key was found, if anywhere.
 pub(crate) struct Traversal {
@@ -63,7 +69,17 @@ impl UpSkipList {
     /// `preds[level_found]` (for a `keys[0]` hit the traversal steps into
     /// the node first), so callers address one node uniformly.
     pub(crate) fn traverse(&self, key: u64) -> Traversal {
-        self.traverse_impl(key, true)
+        self.traverse_impl(key, true, true)
+    }
+
+    /// The writer's descent: Function 7 to the containing node, then — on a
+    /// tagged list — the tag probe alone. A verified hit is reported like
+    /// any other; a miss is returned as "not found" *unproven*, because
+    /// `insert_into_existing` streams the node's key array under the read
+    /// lock anyway and is the one place an insert decides presence. Lists
+    /// without tags run [`UpSkipList::traverse`] operation for operation.
+    pub(crate) fn traverse_for_insert(&self, key: u64) -> Traversal {
+        self.traverse_impl(key, true, false)
     }
 
     /// Traverse without consulting the index shadow. Link-CAS retry loops
@@ -72,10 +88,12 @@ impl UpSkipList {
     /// the *persistent* neighborhood, or a stale shadow could hand back the
     /// same failed CAS expectations forever.
     pub(crate) fn traverse_uncached(&self, key: u64) -> Traversal {
-        self.traverse_impl(key, false)
+        self.traverse_impl(key, false, true)
     }
 
-    fn traverse_impl(&self, key: u64, cached: bool) -> Traversal {
+    /// `prove_absence`: whether a miss among the internal keys must be
+    /// backed by the streamed scan (every caller but the insert path).
+    fn traverse_impl(&self, key: u64, cached: bool, prove_absence: bool) -> Traversal {
         let top = self.cfg.max_height - 1;
         let mut recoveries_done = 0u32;
         'outer: loop {
@@ -257,7 +275,12 @@ impl UpSkipList {
                     );
                 }
                 if level == 0 && pred != self.head {
-                    if let Some(i) = self.scan_internal_keys(pred, key) {
+                    let hit = if prove_absence {
+                        self.scan_internal_keys(pred, key)
+                    } else {
+                        self.probe_internal_keys(pred, key)
+                    };
+                    if let Some(i) = hit {
                         if self.cfg.fingers {
                             self.finger_record(epoch, sgen, 0, &preds, &key0s);
                         }
@@ -303,6 +326,26 @@ impl UpSkipList {
         self.scan_linear(node, key)
     }
 
+    /// Function 8 for a writer (see [`UpSkipList::traverse_for_insert`]):
+    /// the tag probe without the fallback scan. A miss here proves nothing
+    /// and counts as no fallback — the caller's own stream of the key array
+    /// is about to start, so its lines are requested now.
+    fn probe_internal_keys(&self, node: RivPtr, key: u64) -> Option<usize> {
+        let Some(tags) = &self.tags else {
+            return self.scan_linear(node, key);
+        };
+        let hit = tags.find(node, key, |i| self.key_at(node, i) == key);
+        if hit.is_some() {
+            self.stats.tag_hit();
+        } else {
+            self.prefetch(
+                node.add(crate::layout::key_off(&self.cfg, 0) as u32),
+                self.cfg.keys_per_node as u64,
+            );
+        }
+        hit
+    }
+
     /// The paper's search: stream key slots `[1, keys_per_node)` at
     /// cache-line granularity — the sequential-prefetch behaviour the
     /// thesis counts on to make multi-key scans cheap (§4.4). On a tagged
@@ -313,17 +356,13 @@ impl UpSkipList {
         if k == 1 {
             return None;
         }
-        thread_local! {
-            /// Workhorse buffer: one live scan per thread at a time.
-            static BUF: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
-        }
         // The scan streams the whole key array; start pulling it in while
         // the buffer sets up.
         self.prefetch(
             node.add(crate::layout::key_off(&self.cfg, 1) as u32),
             k as u64 - 1,
         );
-        BUF.with(|b| {
+        KEY_BUF.with(|b| {
             let mut keys = b.borrow_mut();
             keys.clear();
             keys.resize(k - 1, 0);
@@ -407,12 +446,14 @@ impl UpSkipList {
 
     /// Check structural invariants (quiescent use only): bottom-level
     /// `keys[0]` strictly ascending, internal keys within `[keys[0],
-    /// succ.keys[0])`, towers sorted per level. Panics on violation.
+    /// succ.keys[0])` and stored once, towers sorted per level. Panics on
+    /// violation.
     pub fn check_invariants(&self) {
         let cfg: &ListConfig = &self.cfg;
         // Bottom level ordering + key ranges.
         let mut cur = self.next(self.head, 0);
         let mut prev_k0 = 0u64;
+        let mut stored = std::collections::HashSet::new();
         while cur != self.tail {
             // Deferred-recovery contract (§4.4.1): a crash between a
             // split's publishing link CAS and its moved-key erasure leaves
@@ -430,6 +471,7 @@ impl UpSkipList {
             assert!(k0 > prev_k0, "keys[0] not ascending: {prev_k0} then {k0}");
             let succ = self.next(cur, 0);
             let bound = self.key0(succ);
+            stored.clear();
             for i in 0..cfg.keys_per_node {
                 let k = self.key_at(cur, i);
                 if k != KEY_NULL {
@@ -437,6 +479,7 @@ impl UpSkipList {
                         k >= k0 && k < bound,
                         "internal key {k} outside [{k0}, {bound})"
                     );
+                    assert!(stored.insert(k), "key {k} stored twice in node {k0}");
                 }
             }
             prev_k0 = k0;

@@ -78,6 +78,28 @@ fn concurrent_inserts_are_violation_free() {
     assert_no_violations(&list, "concurrent inserts");
 }
 
+/// The lost-link-race retry, replayed on one thread: `create_successor`
+/// and `split_node` hand a prepared block back through the allocator's
+/// outbox when their link CAS loses, and the retry may go straight to a
+/// slot-claim CAS in the winner's node with no fence in between. The
+/// de-initialised block is reachable from nothing until the outbox's own
+/// batch fence, so its unfenced write-back is a declared deferral, not a
+/// publish-ordering violation (`concurrent_inserts_are_violation_free`
+/// used to trip on exactly this, a few runs in a hundred).
+#[test]
+fn block_freed_after_a_lost_link_race_does_not_taint_the_retry() {
+    let list = checked_list(4);
+    assert_eq!(list.insert(10, 1), None);
+    let alloc = list.allocator();
+    let block = alloc.alloc(list.epoch(), 0, riv::RivPtr::NULL, 99, &*list);
+    alloc.free_deferred(list.epoch(), 0, block);
+    assert_eq!(list.insert(11, 2), None); // claims a slot next to 10
+    assert_eq!(list.insert(11, 3), Some(2)); // value CAS
+    assert_no_violations(&list, "retry after a lost link race");
+    list.sync();
+    assert_no_violations(&list, "the deferred write-back, fenced");
+}
+
 #[test]
 fn recovery_after_crash_is_violation_free() {
     let list = checked_list(4);

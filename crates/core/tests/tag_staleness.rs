@@ -8,6 +8,10 @@
 //!    fallback scan, never a wrong answer.
 //! 2. Tags are dropped on every open/recover/compact path and refilled
 //!    from the persistent key arrays; they are never themselves recovered.
+//!
+//! Writers lean on (1) harder than readers: an insert's descent stops at
+//! the tag probe, and the one stream of the key array it takes under the
+//! read lock must find a key the tags forgot before it claims any hole.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -59,23 +63,40 @@ fn disturb(list: &UpSkipList, how: Disturb) {
 #[derive(Debug, Clone)]
 enum Cmd {
     Insert(u64, u64),
+    /// Two inserts of one key with the tags disturbed in between: the
+    /// second is an insert-of-existing whatever the first was.
+    Upsert(u64, Disturb, u64, u64),
+    /// Remove, disturb, insert again: the tombstoned slot must be reused,
+    /// not joined by a second copy.
+    RemoveThenReinsert(u64, Disturb, u64),
     Remove(u64),
     Get(u64),
     Range(u64, u64),
     Disturb(Disturb),
 }
 
+fn disturb_strategy() -> impl Strategy<Value = Disturb> {
+    prop_oneof![
+        (0..u16::MAX).prop_map(Disturb::Scramble),
+        Just(Disturb::Zero),
+        Just(Disturb::Alias),
+    ]
+}
+
 fn cmd_strategy(keyspace: u64) -> impl Strategy<Value = Cmd> {
+    let value = || 0..u64::MAX - 1;
     prop_oneof![
         (1..=keyspace, 0..u64::MAX - 1).prop_map(|(k, v)| Cmd::Insert(k, v)),
         (1..=keyspace, 0..u64::MAX - 1).prop_map(|(k, v)| Cmd::Insert(k, v)),
+        (1..=keyspace, disturb_strategy(), value(), value())
+            .prop_map(|(k, how, v1, v2)| Cmd::Upsert(k, how, v1, v2)),
+        (1..=keyspace, disturb_strategy(), value())
+            .prop_map(|(k, how, v)| Cmd::RemoveThenReinsert(k, how, v)),
         (1..=keyspace).prop_map(Cmd::Remove),
         (1..=keyspace).prop_map(Cmd::Get),
         (1..=keyspace).prop_map(Cmd::Get),
         (1..=keyspace, 1..=64u64).prop_map(|(a, len)| Cmd::Range(a, a + len)),
-        (0..u16::MAX).prop_map(|s| Cmd::Disturb(Disturb::Scramble(s))),
-        Just(Cmd::Disturb(Disturb::Zero)),
-        Just(Cmd::Disturb(Disturb::Alias)),
+        disturb_strategy().prop_map(Cmd::Disturb),
     ]
 }
 
@@ -100,6 +121,16 @@ proptest! {
         for cmd in cmds {
             match cmd {
                 Cmd::Insert(k, v) => prop_assert_eq!(list.insert(k, v), model.insert(k, v)),
+                Cmd::Upsert(k, how, v1, v2) => {
+                    prop_assert_eq!(list.insert(k, v1), model.insert(k, v1));
+                    disturb(&list, how);
+                    prop_assert_eq!(list.insert(k, v2), model.insert(k, v2));
+                }
+                Cmd::RemoveThenReinsert(k, how, v) => {
+                    prop_assert_eq!(list.remove(k), model.remove(&k));
+                    disturb(&list, how);
+                    prop_assert_eq!(list.insert(k, v), model.insert(k, v));
+                }
                 Cmd::Remove(k) => prop_assert_eq!(list.remove(k), model.remove(&k)),
                 Cmd::Get(k) => prop_assert_eq!(list.get(k), model.get(&k).copied()),
                 Cmd::Range(lo, hi) => {
@@ -116,6 +147,98 @@ proptest! {
         list.check_invariants();
         prop_assert_eq!(list.count_live(), model.len());
     }
+}
+
+/// Regression for the presence-before-claim order of an insert's one
+/// stream. A split erases the moved keys *in place*, so the old node keeps
+/// its survivors behind a run of holes; with the tags forgotten the
+/// writer's descent reports a miss, and an insert that claimed the first
+/// hole it met would store the key a second time.
+#[test]
+fn insert_finds_an_untagged_key_behind_split_erased_holes() {
+    let list = build(8, 64, false);
+    // Slot 0 holds 1, slots 1..=63 hold 64, 63, .., 2: the node is full.
+    list.insert(1, 10);
+    for k in (2..=64u64).rev() {
+        list.insert(k, k * 10);
+    }
+    assert_eq!(list.node_count(), 1);
+    // The split moves 33..=64 out of slots 1..=32; 2..=32 stay behind them.
+    list.insert(65, 650);
+    assert_eq!(list.node_count(), 2);
+    assert_eq!(list.struct_metrics().node_splits, 1);
+
+    disturb(&list, Disturb::Zero);
+    let (m0, r0) = (list.struct_metrics(), pmem_reads(&list));
+    assert_eq!(list.insert(20, 7), Some(200), "20 was there: an update");
+    let m = list.struct_metrics().since(&m0);
+    assert_eq!(m.tag_hits, 0, "the probe missed");
+    assert_eq!(m.tag_fallbacks, 0, "and no scan backed the miss up");
+    let streamed = pmem_reads(&list) - r0;
+    assert_eq!(list.get(20), Some(7));
+    assert_eq!(
+        list.range(1, 65).iter().filter(|&&(k, _)| k == 20).count(),
+        1
+    );
+    assert_eq!(list.count_live(), 65);
+    list.check_invariants(); // includes: no key stored twice in a node
+
+    // That stream refilled the node's tags: the next writer is steered.
+    let (m0, r0) = (list.struct_metrics(), pmem_reads(&list));
+    assert_eq!(list.insert(9, 8), Some(90));
+    assert_eq!(list.struct_metrics().since(&m0).tag_hits, 1);
+    assert!(
+        pmem_reads(&list) - r0 + 8 <= streamed,
+        "steered: the 8-line key array is not streamed again"
+    );
+
+    // A fresh key still lands in the lowest hole, once.
+    assert_eq!(list.insert(2_000, 1), None);
+    assert_eq!(list.insert(33, 2), Some(330));
+    assert_eq!(list.count_live(), 66);
+    list.check_invariants();
+}
+
+/// An insert-only load never runs the reader's fallback scan: a fresh key
+/// costs the descent plus one stream of its node's key array. Measured on
+/// a list without the index shadow (whose re-imaging reads vary by the
+/// build) and against an absent-key get, which pays the same descent plus
+/// the reader's one scan: a second stream would put 32 lines between them.
+#[test]
+fn fresh_inserts_stream_the_key_array_once() {
+    let list = ListBuilder {
+        list: ListConfig {
+            shadow: false,
+            ..ListConfig::new(10, 256)
+        },
+        pool_words: 1 << 21,
+        ..ListBuilder::default()
+    }
+    .create();
+    // A fixed odd multiplier scatters the keys over the nodes.
+    let key_of = |i: u64| i.wrapping_mul(0x9e37_79b9) % 1_000_003 + 1;
+    let n = 20_000u64;
+    let (m0, r0) = (list.struct_metrics(), pmem_reads(&list));
+    for i in 1..=n {
+        assert_eq!(list.insert(key_of(i), i), None);
+    }
+    let per_insert = (pmem_reads(&list) - r0) as f64 / n as f64;
+    assert_eq!(
+        list.struct_metrics().since(&m0).tag_fallbacks,
+        0,
+        "no writer runs the linear scan"
+    );
+    let r0 = pmem_reads(&list);
+    for i in n + 1..=2 * n {
+        assert_eq!(list.get(key_of(i)), None);
+    }
+    let per_absent_get = (pmem_reads(&list) - r0) as f64 / n as f64;
+    assert!(
+        per_insert < per_absent_get + 16.0,
+        "{per_insert} pmem reads per fresh insert against {per_absent_get} per \
+         absent get: a second stream is back"
+    );
+    list.check_invariants();
 }
 
 /// The steered path is the one warm gets actually take, at the cost the
@@ -207,6 +330,58 @@ fn concurrent_history_with_disturbed_tags_is_linearizable() {
     assert!(m.node_splits > 10, "splits must have raced the searches");
     assert!(m.tag_hits > 0 && m.tag_fallbacks > 0);
     list.check_invariants();
+}
+
+/// (ii, writers) Four threads insert the *same* small key set, each in its
+/// own order and all at once, at 64 keys/node: the same key is raced as a
+/// fresh insert and as an update, inside nodes that split under the
+/// racers, with the tags scrambled mid-run. Every thread's probe may miss
+/// a key another thread is placing; the history must stay linearizable
+/// and no node may end up holding a key twice.
+#[test]
+fn concurrent_inserts_of_one_key_set_never_duplicate_a_key() {
+    let list = build(12, 64, false);
+    let ticket = Ticket::new();
+    let keyset = 600u64;
+    let rounds = 6u64;
+    let logs = Arc::new(Mutex::new(Vec::new()));
+    let go = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let list = Arc::clone(&list);
+            let logs = Arc::clone(&logs);
+            let (ticket, go) = (&ticket, &go);
+            s.spawn(move || {
+                pmem::thread::register(t as usize, 0);
+                let mut log = ThreadLog::new(t as u32);
+                // Coprime strides: four different walks over one key set.
+                let stride = [1u64, 7, 11, 13][t as usize];
+                go.wait();
+                for i in 0..rounds * keyset {
+                    let key = 1 + (i * stride + t * 37) % keyset;
+                    let value = ticket.next();
+                    let idx = log.begin(ticket, OpKind::Write, key, value);
+                    let old = list.insert(key, value);
+                    log.finish(ticket, idx, old.unwrap_or(EMPTY));
+                    if i % 256 == 64 * t {
+                        disturb(&list, Disturb::Scramble(i as u16));
+                    }
+                }
+                logs.lock().unwrap().push(log);
+            });
+        }
+    });
+    let logs = Arc::try_unwrap(logs).unwrap().into_inner().unwrap();
+    let result = lincheck::check(&merge(logs, vec![]));
+    assert!(
+        result.is_linearizable(),
+        "violations: {:?}",
+        result.violations
+    );
+    assert_eq!(result.writes_checked as u64, 4 * rounds * keyset);
+    assert!(list.struct_metrics().node_splits >= 8, "splits must race");
+    assert_eq!(list.count_live(), keyset as usize);
+    list.check_invariants(); // includes: no key stored twice in a node
 }
 
 fn load_and_warm(list: &UpSkipList, n: u64) {

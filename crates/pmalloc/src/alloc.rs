@@ -682,14 +682,18 @@ impl Allocator {
             return self.free(epoch, pool_id, obj);
         }
         // De-initialize now and write the lines back (no fence — the batch
-        // fence at flush time orders every queued block at once).
+        // fence at flush time orders every queued block at once). The
+        // write-back is *declared* deferred: until that batch fence the
+        // block is reachable from nothing but this DRAM outbox, so the
+        // caller's next publish CAS (an insert retrying after the lost link
+        // race that freed this block) has no ordering claim on these lines.
         for w in BLK_CLIENT..self.cfg.block_words {
             self.space.write(obj.add(w as u32), 0);
         }
         self.space.write(obj.add(BLK_NEXT_FREE as u32), 0);
         self.space.write(obj.add(BLK_EPOCH as u32), epoch);
         self.space.write(obj.add(BLK_KIND as u32), KIND_FREE);
-        self.space.flush_range(obj, self.cfg.block_words);
+        self.space.flush_deferred(obj, self.cfg.block_words);
         cache.outbox_pool = pool_id;
         cache.outbox_epoch = epoch;
         cache.outbox_arena = arena;

@@ -560,6 +560,9 @@ pub(crate) const FLUSH_TOKENS: &[&str] = &[
     ".persist(",
     ".flush(",
     ".flush_range(",
+    // CLWB with declared-deferred durability (`Pool::flush_deferred`): a
+    // write-back like `.flush_range(`, whatever fence it ends up riding.
+    ".flush_deferred(",
     "sfence(",
     "persist_line",
     "mark_all_persisted",

@@ -116,6 +116,7 @@ const NON_CALL_NAMES: &[&str] = &[
     "persist",
     "flush",
     "flush_range",
+    "flush_deferred",
     "sfence",
     "commit",
     "persist_line",

@@ -11,7 +11,10 @@
 //!   via the shared line table, by another thread — had not yet reached
 //!   `durable`. This is the write → CLWB → SFENCE → publish discipline of
 //!   the thesis's Chapter 6 correctness argument: anything a CAS makes
-//!   reachable must already be persistent.
+//!   reachable must already be persistent. A thread's obligation on a line
+//!   ends with its own CLWB + SFENCE after its own last write to it; a
+//!   neighbour's later write to another word of the line is the
+//!   neighbour's candidate.
 //! * **PMD02 `redundant-fence`** (advisory): an SFENCE that covered zero
 //!   pending flushes. Harmless for correctness but exactly the class of
 //!   avoidable ordering points MOD (Haria et al.) minimizes; reported so
@@ -53,7 +56,7 @@
 //! the first rule *violation*.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
@@ -228,11 +231,16 @@ static CHECK_POOLS: Mutex<Option<HashMap<usize, Weak<Pool>>>> = Mutex::new(None)
 static USED_TAGS: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
 
 thread_local! {
-    /// Non-exempt lines this thread has written whose durability it has
-    /// not yet observed; candidates for the publish check. The line table
-    /// is the source of truth — entries whose line went durable (possibly
-    /// via another thread's fence) are dropped lazily.
-    static DIRTY: RefCell<BTreeSet<(usize, u64)>> = const { RefCell::new(BTreeSet::new()) };
+    /// Non-exempt lines this thread has written and not yet made durable
+    /// itself; candidates for the publish check. The value records whether
+    /// *this thread* has CLWB-ed the line since its own last write to it:
+    /// such an entry is settled by this thread's next fence whatever the
+    /// shared line table says by then — a neighbour re-dirtying another
+    /// word of the line in between leaves the line `written`, but that
+    /// write is the neighbour's candidate, not ours. For entries not yet
+    /// settled the line table stays the source of truth — those whose line
+    /// went durable via another thread's fence are dropped lazily.
+    static DIRTY: RefCell<BTreeMap<(usize, u64), bool>> = const { RefCell::new(BTreeMap::new()) };
     /// Stack of nested [`exempt_scope`] tags; non-empty means exempt.
     static EXEMPT: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
     /// Set once this thread touches a check-enabled pool; gates the
@@ -489,7 +497,7 @@ pub(crate) fn on_write(pool: &Pool, off: u64) {
     if !exempt {
         let key = (pool as *const Pool as usize, line);
         DIRTY.with(|d| {
-            d.borrow_mut().insert(key);
+            d.borrow_mut().insert(key, false);
         });
         race_check_write(pool, line, tid);
     }
@@ -562,7 +570,7 @@ pub(crate) fn on_cas_success(pool: &Pool, off: u64) {
 /// after publication).
 fn publish_check(cas_pool: &Pool, cas_line: u64) {
     let self_key = (cas_pool as *const Pool as usize, cas_line);
-    let candidates: Vec<(usize, u64)> = DIRTY.with(|d| d.borrow().iter().copied().collect());
+    let candidates: Vec<(usize, u64)> = DIRTY.with(|d| d.borrow().keys().copied().collect());
     if candidates.is_empty() {
         return;
     }
@@ -648,6 +656,12 @@ pub(crate) fn on_flush(pool: &Pool, line: u64) {
             w
         }
     });
+    let key = (pool as *const Pool as usize, line);
+    DIRTY.with(|d| {
+        if let Some(flushed) = d.borrow_mut().get_mut(&key) {
+            *flushed = true;
+        }
+    });
 }
 
 /// A deferred CLWB over `[off, off + words)` (see
@@ -674,14 +688,18 @@ pub(crate) fn on_fence_commit(pool: &Pool, line: u64, epoch: u64) {
             w
         }
     });
-    // Only an actual flushed → durable transition settles the line; a line
-    // re-dirtied after its CLWB stays `written` and needs a fresh flush,
-    // so it must remain a publish-check candidate.
+    // The fence settles this thread's candidate when its own CLWB came
+    // after its own last write. A line the thread re-dirtied after its
+    // CLWB needs a fresh flush and stays a candidate; a line *another*
+    // thread re-dirtied meanwhile is that thread's to flush.
+    let key = (pool as *const Pool as usize, line);
+    DIRTY.with(|d| {
+        let mut d = d.borrow_mut();
+        if d.get(&key) == Some(&true) {
+            d.remove(&key);
+        }
+    });
     if st(prev) == ST_FLUSHED {
-        let key = (pool as *const Pool as usize, line);
-        DIRTY.with(|d| {
-            d.borrow_mut().remove(&key);
-        });
         // PMD05: this commit is what made the publish durable — if a
         // racing read already observed the published line, the durable
         // order is publish-observed-then-committed.
@@ -984,6 +1002,52 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule.id(), "PMD01");
         p.persist(8, 1);
+    }
+
+    /// Word-granular sharing of one line (two key slots of a node): thread
+    /// A's write is flushed and fenced by A, but B dirtied a neighbouring
+    /// word between A's CLWB and A's SFENCE, so the line table still says
+    /// `written`. A met its obligation; the open write is B's alone.
+    #[test]
+    fn neighbour_redirtying_a_flushed_line_is_not_the_flushers_pmd01() {
+        use std::sync::mpsc::channel;
+        let p = checked_pool();
+        let (to_b, b_go) = channel::<()>();
+        let (to_a, a_go) = channel::<()>();
+        let pb = Arc::clone(&p);
+        let b = std::thread::spawn(move || {
+            crate::thread::register(crate::MAX_THREADS - 5, 0);
+            b_go.recv().unwrap();
+            pb.write(9, 2); // same line as A's word 8, after A's CLWB
+            to_a.send(()).unwrap();
+            b_go.recv().unwrap();
+            assert_eq!(pb.cas(24, 0, 1), Ok(0)); // B publishes over its own open write
+            pb.persist(8, 2);
+            pb.persist(24, 1);
+        });
+        p.write(8, 1);
+        p.flush(8);
+        to_b.send(()).unwrap();
+        a_go.recv().unwrap();
+        sfence(); // A's write is durable; the line is `written` (by B)
+        assert_eq!(p.cas(16, 0, 1), Ok(0));
+        p.persist(16, 1);
+        let findings = p.take_check_findings();
+        assert!(
+            findings.iter().all(|f| f.rule.id() != "PMD01"),
+            "A flushed and fenced its own write: {findings:?}"
+        );
+        to_b.send(()).unwrap();
+        b.join().unwrap();
+        let findings = p.take_check_findings();
+        let open: Vec<_> = findings.iter().filter(|f| f.rule.id() == "PMD01").collect();
+        assert_eq!(
+            open.len(),
+            1,
+            "B's unflushed write is still B's: {findings:?}"
+        );
+        assert_eq!(open[0].line, 1);
+        assert_eq!(open[0].detector, (crate::MAX_THREADS - 5) as u16);
     }
 
     #[test]
