@@ -10,9 +10,11 @@
 //!     --json results/BENCH_traversal.json
 //! ```
 //! Emits CSV:
-//! `variant,records,threads,batch,shadow,mops,pmem_reads_per_op,insert_reads`
+//! `variant,records,threads,batch,shadow,mops,pmem_reads_per_op,insert_reads,scan_reads_per_key`
 //! (`insert_reads`: mean pmem line reads per fresh insert over the row's own
-//! random-order load, from the pools' `OpKind::Insert` bucket);
+//! random-order load, from the pools' `OpKind::Insert` bucket;
+//! `scan_reads_per_key`: pmem line reads per pair returned over a fixed-seed
+//! batch of scans, `from` drawn from the loaded keys, length 1–100);
 //! `--json` additionally writes the same rows as a machine-readable report,
 //! and `--metrics PATH` writes a standardized [`MetricsReport`] including
 //! the structure counters (finger hit rate, shadow hit rate, hops per
@@ -25,14 +27,19 @@
 //! `--gate-insert-reads N` holds the cheapest shadow-on build's
 //! `insert_reads` at the largest key count to `N` — the budget of the
 //! single-stream insert (descent + one stream of the key array, where a
-//! second stream would add 32 lines to every build). Both absolute gates
-//! are meant for `--keys-per-node 256` (the CI smoke regression checks).
+//! second stream would add 32 lines to every build);
+//! `--gate-scan-reads N` holds the `shadowed` variant's `scan_reads_per_key`
+//! at the largest key count to `N` — a scan that starts on the containing
+//! node reads its nodes' two arrays and little else, one that starts from
+//! the list head does not. The absolute gates are meant for
+//! `--keys-per-node 256` (the CI smoke regression checks).
 
 use bench::metrics::{push_struct_rows, write_report};
 use bench::{Args, Deployment, UpSkipListOpts};
 use obs::report::MetricsReport;
 use obs::ObsLevel;
 use pmem::{op_tag, OpKind};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use upskiplist::{StructMetricsSnapshot, UpSkipList};
 use ycsb::{Distribution, Workload, WorkloadSpec};
 
@@ -70,6 +77,25 @@ fn load_counting_reads(index: &UpSkipList, w: &Workload) -> f64 {
     reads as f64 / w.load.len() as f64
 }
 
+/// Scans in a row's scan measurement, and the seed of their
+/// `(from, length)` stream.
+const SCANS: u64 = 2_000;
+const SCAN_SEED: u64 = 0x5ca9_5eed;
+
+/// Mean pmem line reads per returned pair over [`SCANS`] scans, each from a
+/// loaded key, 1–100 pairs long (the `list_read` benchmark's scan shape).
+fn scan_reads_per_key(index: &UpSkipList, w: &Workload) -> f64 {
+    let _tag = op_tag(OpKind::Scan);
+    let before = pmem_reads(index);
+    let mut rng = StdRng::seed_from_u64(SCAN_SEED);
+    let mut pairs = 0usize;
+    for _ in 0..SCANS {
+        let from = w.load[rng.gen_range(0..w.load.len())].0;
+        pairs += index.scan(from, rng.gen_range(1..=100)).len();
+    }
+    (pmem_reads(index) - before) as f64 / pairs as f64
+}
+
 struct Row {
     variant: &'static str,
     records: u64,
@@ -79,6 +105,7 @@ struct Row {
     mops: f64,
     reads_per_op: f64,
     insert_reads: f64,
+    scan_reads_per_key: f64,
     structure: StructMetricsSnapshot,
 }
 
@@ -119,6 +146,7 @@ fn measure(
         bench::run(&index, &w, 1, false, variant)
     };
     let after = pmem_reads(&index);
+    let structure = index.struct_metrics().since(&sbefore);
     Row {
         variant,
         records,
@@ -128,7 +156,8 @@ fn measure(
         mops: r.mops(),
         reads_per_op: (after - before) as f64 / r.ops as f64,
         insert_reads,
-        structure: index.struct_metrics().since(&sbefore),
+        scan_reads_per_key: scan_reads_per_key(&index, &w),
+        structure,
     }
 }
 
@@ -160,6 +189,9 @@ fn main() {
     let gate_insert_reads: Option<f64> = args
         .get("gate-insert-reads")
         .map(|v| v.parse().expect("--gate-insert-reads must be a number"));
+    let gate_scan_reads: Option<f64> = args
+        .get("gate-scan-reads")
+        .map(|v| v.parse().expect("--gate-scan-reads must be a number"));
 
     let mut variants: Vec<(&'static str, bool, bool, usize)> = vec![
         ("seed", false, false, 1),
@@ -171,13 +203,15 @@ fn main() {
         variants.push(("shadow_batched", true, true, b.max(2)));
     }
     let mut rows = Vec::new();
-    println!("variant,records,threads,batch,shadow,mops,pmem_reads_per_op,insert_reads");
+    println!(
+        "variant,records,threads,batch,shadow,mops,pmem_reads_per_op,insert_reads,scan_reads_per_key"
+    );
     for &records in &keys {
         for &t in &threads {
             for &(variant, fingers, shadow, b) in &variants {
                 let row = measure(variant, fingers, shadow, b, records, ops, t, keys_per_node);
                 println!(
-                    "{},{},{},{},{},{:.4},{:.2},{:.2}",
+                    "{},{},{},{},{},{:.4},{:.2},{:.2},{:.2}",
                     row.variant,
                     row.records,
                     row.threads,
@@ -185,7 +219,8 @@ fn main() {
                     row.shadow,
                     row.mops,
                     row.reads_per_op,
-                    row.insert_reads
+                    row.insert_reads,
+                    row.scan_reads_per_key
                 );
                 rows.push(row);
             }
@@ -207,7 +242,7 @@ fn main() {
         out.push_str("  \"results\": [\n");
         for (i, r) in rows.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"variant\": \"{}\", \"records\": {}, \"threads\": {}, \"batch\": {}, \"shadow\": {}, \"mops\": {:.4}, \"pmem_reads_per_op\": {:.2}, \"insert_reads\": {:.2}, \"tag_hits\": {}, \"tag_fallbacks\": {}}}{}\n",
+                "    {{\"variant\": \"{}\", \"records\": {}, \"threads\": {}, \"batch\": {}, \"shadow\": {}, \"mops\": {:.4}, \"pmem_reads_per_op\": {:.2}, \"insert_reads\": {:.2}, \"scan_reads_per_key\": {:.2}, \"tag_hits\": {}, \"tag_fallbacks\": {}}}{}\n",
                 r.variant,
                 r.records,
                 r.threads,
@@ -216,6 +251,7 @@ fn main() {
                 r.mops,
                 r.reads_per_op,
                 r.insert_reads,
+                r.scan_reads_per_key,
                 r.structure.tag_hits,
                 r.structure.tag_fallbacks,
                 if i + 1 == rows.len() { "" } else { "," }
@@ -241,6 +277,7 @@ fn main() {
             report.push(&label, "get", "mops", r.mops);
             report.push(&label, "get", "reads_per_op", r.reads_per_op);
             report.push(&label, "insert", "reads_per_op", r.insert_reads);
+            report.push(&label, "scan", "reads_per_key", r.scan_reads_per_key);
             push_struct_rows(&mut report, &label, &r.structure);
         }
         write_report(&report, path);
@@ -290,28 +327,25 @@ fn main() {
             .filter(|r| r.shadow && r.records == on.records)
             .map(|r| r.insert_reads)
             .fold(f64::INFINITY, f64::min);
-        if best > limit {
-            eprintln!(
-                "GATE FAIL: {best:.2} pmem reads per fresh insert at {keys_per_node} keys/node exceeds {limit}"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "GATE OK: {best:.2} pmem reads per fresh insert at {keys_per_node} keys/node <= {limit}"
-        );
+        hold_to("fresh insert", best, limit, keys_per_node);
+    }
+    let warm = rows.iter().rev().find(|r| r.variant == "shadowed").unwrap();
+    if let Some(limit) = gate_scan_reads {
+        hold_to("scanned key", warm.scan_reads_per_key, limit, keys_per_node);
     }
     if let Some(limit) = gate_reads {
-        let warm = rows.iter().rev().find(|r| r.variant == "shadowed").unwrap();
-        if warm.reads_per_op > limit {
-            eprintln!(
-                "GATE FAIL: {:.2} pmem reads per warm get at {} keys/node exceeds {limit}",
-                warm.reads_per_op, keys_per_node
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "GATE OK: {:.2} pmem reads per warm get at {} keys/node <= {limit}",
-            warm.reads_per_op, keys_per_node
-        );
+        hold_to("warm get", warm.reads_per_op, limit, keys_per_node);
     }
+}
+
+/// An absolute gate: exit non-zero unless `got` pmem line reads per `what`
+/// stay within `limit`.
+fn hold_to(what: &str, got: f64, limit: f64, keys_per_node: usize) {
+    if got > limit {
+        eprintln!(
+            "GATE FAIL: {got:.2} pmem reads per {what} at {keys_per_node} keys/node exceeds {limit}"
+        );
+        std::process::exit(1);
+    }
+    eprintln!("GATE OK: {got:.2} pmem reads per {what} at {keys_per_node} keys/node <= {limit}");
 }

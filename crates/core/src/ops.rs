@@ -66,6 +66,7 @@ impl UpSkipList {
                 // single-key nodes cannot make room): link a fresh node
                 // (Function 15, generalized from head-successor to
                 // any-predecessor for the single-key configuration).
+                debug_assert!(!t.found(), "succs are a miss's (see `Traversal`)");
                 let mut preds = t.preds;
                 let mut succs = t.succs;
                 if self.create_successor(key, value, &mut preds, &mut succs) {
@@ -77,6 +78,7 @@ impl UpSkipList {
                 InsertStatus::Restart => continue,
                 InsertStatus::Done(old) => return (old != TOMBSTONE).then_some(old),
                 InsertStatus::NeedSplit => {
+                    debug_assert!(!t.found(), "succs are a miss's (see `Traversal`)");
                     let mut preds = t.preds;
                     let mut succs = t.succs;
                     self.split_node(&mut preds, &mut succs);

@@ -1,7 +1,12 @@
 //! The *index shadow*: a volatile, epoch-versioned DRAM mirror of the skip
-//! list's upper levels (≥ 1), consulted before the persistent level descent
-//! so a point operation touches PMEM only for the final bottom-level walk
-//! and the target node (the "Foresight traversal" optimization).
+//! list's levels from the *image floor* up, consulted before the persistent
+//! level descent so a point operation touches PMEM only for what is left of
+//! the bottom-level walk and the target node (the "Foresight traversal"
+//! optimization). The floor is level 1 — except on tagged lists (> 32
+//! keys/node, see the `tags` module), where the bottom level is n/128
+//! entries of 16 B (≤ 0.5 B of DRAM per key) and is mirrored too: the
+//! descent then *starts on* the containing node, and the traversal's tag
+//! probe answers from it without a single hop.
 //!
 //! ## Contract
 //!
@@ -33,9 +38,13 @@
 //! (removes tombstone, splits only add), so any node the shadow captured
 //! stays linked at every level it was captured on. `keys[0]` is immutable
 //! after initialization, so a captured `(key0, node)` pair can never point
-//! descent *past* the containing node. The two events that break these
-//! guarantees — compaction (frees nodes) and a crash (new epoch) — both
-//! discard the image outright before any block can be recycled.
+//! descent *past* the containing node. That holds on the bottom level as
+//! on any other: the imaged nodes are a subset of the linked ones, so the
+//! image's level-0 predecessor is the containing node or one a split has
+//! since put before it — a probe that misses, and a hop. The two events
+//! that break these guarantees — compaction (frees nodes) and a crash (new
+//! epoch) — both discard the image outright before any block can be
+//! recycled.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::RwLock;
@@ -43,8 +52,9 @@ use std::sync::RwLock;
 use riv::RivPtr;
 
 use crate::config::{KEY_INF, KEY_NULL, MAX_HEIGHT};
-use crate::layout::{HEADER_WORDS, N_EPOCH, N_KEYS, N_SPLIT_COUNT};
+use crate::layout::{N_EPOCH, N_KEYS, N_LOCK, N_SPLIT_COUNT};
 use crate::list::UpSkipList;
+use crate::rwlock;
 
 /// Default cap on total mirrored entries (levels are dropped bottom-up past
 /// this); each entry is 16 bytes of DRAM.
@@ -89,7 +99,7 @@ pub(crate) struct ShadowEntry {
 struct ShadowImage {
     /// Failure-free list epoch the image was built in; 0 = discarded.
     epoch: u64,
-    /// Lowest mirrored level (≥ 1; capacity may push it higher).
+    /// Lowest mirrored level (the image floor; capacity may push it higher).
     min_level: usize,
     /// `levels[l]` mirrors list level `l`; indices below `min_level` unused.
     levels: Vec<Vec<ShadowEntry>>,
@@ -147,13 +157,16 @@ impl IndexShadow {
 
 /// A successful shadow consult: where the descent may resume.
 pub(crate) struct ShadowStart {
-    /// Lowest level the shadow filled; the descent resumes at `low - 1`.
+    /// Lowest level the shadow filled; the descent resumes one below it,
+    /// or — with level 0 mirrored — *on* it, at `pred`.
     pub low: usize,
     /// Validated start predecessor at `low` (may be the head).
     pub pred: RivPtr,
     pub pred_k0: u64,
     /// Split count from the validated header read (0 for the head).
     pub split_count: u64,
+    /// Whether that header showed a writer (a split in flight).
+    pub write_locked: bool,
     /// Highest filled level whose predecessor *is* the containing node
     /// (`key0 == key`): the descent can return via the step-in path.
     pub step_level: Option<usize>,
@@ -188,6 +201,16 @@ impl UpSkipList {
     #[doc(hidden)]
     pub fn shadow_entries(&self) -> usize {
         self.shadow.entry_count()
+    }
+
+    /// Run `f` with the image frozen: consults keep reading it, but no
+    /// refresh or rebuild gets the write side meanwhile — the staleness
+    /// tests' hook for keeping an image stale across whole operations
+    /// (`f` must not discard the image: no retune, recover or compact).
+    #[doc(hidden)]
+    pub fn with_shadow_frozen<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _pin = self.shadow.image.read().unwrap_or_else(|e| e.into_inner());
+        f()
     }
 
     /// Consult the shadow for `key`: fill `preds`/`succs`/`key0s` for every
@@ -239,15 +262,15 @@ impl UpSkipList {
                         Some(lf) => (preds[lf], key),
                         None => (start.pred, start.pred_k0),
                     };
-                    let mut split_count = 0;
+                    let (mut split_count, mut write_locked) = (0, false);
                     if vnode != self.head {
-                        let mut hdr = [0u64; HEADER_WORDS];
-                        self.space().read_slice(vnode, &mut hdr);
+                        let hdr = self.read_header(vnode);
                         if hdr[N_EPOCH as usize] != epoch || hdr[N_KEYS as usize] != vk0 {
                             self.stats.shadow_miss();
                             return None;
                         }
                         split_count = hdr[N_SPLIT_COUNT as usize];
+                        write_locked = rwlock::is_write_locked(hdr[N_LOCK as usize]);
                     }
                     if fresh {
                         self.stats.shadow_hit();
@@ -259,6 +282,7 @@ impl UpSkipList {
                     }
                     return Some(ShadowStart {
                         split_count,
+                        write_locked,
                         ..start
                     });
                 }
@@ -297,6 +321,7 @@ impl UpSkipList {
             pred: self.head,
             pred_k0: KEY_NULL,
             split_count: 0,
+            write_locked: false,
             step_level: None,
         };
         let mut region = 0usize;
@@ -345,7 +370,10 @@ impl UpSkipList {
         let mut levels: Vec<Vec<ShadowEntry>> = vec![Vec::new(); top + 1];
         let mut min_level = top + 1;
         let mut total = 0usize;
-        for level in (1..=top).rev() {
+        // The image floor: tagged nodes are few and big enough that their
+        // bottom level is worth 16 B each (module docs).
+        let floor = if self.tags.is_some() { 0 } else { 1 };
+        for level in (floor..=top).rev() {
             let mut v = Vec::new();
             let mut cur = self.next(self.head, level);
             while cur != self.tail && !cur.is_null() {

@@ -10,6 +10,7 @@
 use riv::RivPtr;
 
 use crate::config::{ListConfig, KEY_NULL};
+use crate::layout::HEADER_WORDS;
 use crate::list::UpSkipList;
 use crate::{config::MAX_HEIGHT, rwlock};
 
@@ -24,6 +25,15 @@ thread_local! {
 
 /// Result of a traversal: per-level predecessors/successors, plus where the
 /// key was found, if anywhere.
+///
+/// A *not-found* traversal fills every level of both arrays. A *found* one
+/// guarantees `node()`, `key_index`, `split_count` and, above
+/// `level_found`, the `preds`/`succs` the walk ended on (tower building
+/// links against those) — plus `preds[0]` whenever the descent reached, or
+/// the index image mirrors, the bottom level. From `level_found` down
+/// `succs` are meaningful only when `!found()`: a hit returns the moment
+/// the key is seen, so a successor there may be unread (NULL) or an
+/// unvalidated image hint.
 pub(crate) struct Traversal {
     pub preds: [RivPtr; MAX_HEIGHT],
     pub succs: [RivPtr; MAX_HEIGHT],
@@ -91,6 +101,27 @@ impl UpSkipList {
         self.traverse_impl(key, false, true)
     }
 
+    /// One streamed line covers epoch, lock, split count and `keys[0]` — the
+    /// cache-line co-location of §4.4 that makes the recovery check free
+    /// during traversal. On a tagged list the line is loaded highest word
+    /// first, so the split count is observed *before* the lock word: a
+    /// header that shows no writer then proves no split was running when
+    /// its count was taken (a split bumps the count only while it holds the
+    /// lock), which is what lets the probe-on-arrival below answer from the
+    /// node without reading on. Untagged lists never probe, and keep the
+    /// ascending loads that run the hardware prefetcher into the key array
+    /// their scan reads next (descending cost `list_churn` 4 % of its p50s).
+    #[inline]
+    pub(crate) fn read_header(&self, node: RivPtr) -> [u64; HEADER_WORDS] {
+        let mut hdr = [0u64; HEADER_WORDS];
+        if self.tags.is_some() {
+            self.space().read_slice_rev(node, &mut hdr);
+        } else {
+            self.space().read_slice(node, &mut hdr);
+        }
+        hdr
+    }
+
     /// `prove_absence`: whether a miss among the internal keys must be
     /// backed by the streamed scan (every caller but the insert path).
     fn traverse_impl(&self, key: u64, cached: bool, prove_absence: bool) -> Traversal {
@@ -119,12 +150,32 @@ impl UpSkipList {
             let mut split_count = 0u64;
             let mut pred = self.head;
             let mut pred_k0 = KEY_NULL;
+            // Whether the header read that supplied `split_count` showed
+            // `pred` write-locked (mid-split): such a node is not probed.
+            let mut pred_locked = false;
             let mut start_level = top;
+            // Every return: remember the descent as this thread's finger,
+            // hand the arrays over.
+            macro_rules! finish {
+                ($level:expr, $key_index:expr) => {{
+                    if self.cfg.fingers {
+                        self.finger_record(epoch, sgen, $level, &preds, &key0s);
+                    }
+                    return Traversal {
+                        preds,
+                        succs,
+                        split_count,
+                        key_index: $key_index,
+                        level_found: $level,
+                    };
+                }};
+            }
             // Index-shadow consult: resolve levels `min_level..=top` in
             // DRAM, validate the landing predecessor's header once, and
-            // resume the persistent descent just below the mirrored range.
-            // The bottom level stays the sole persistent source of truth —
-            // the walk below revalidates everything the shadow claimed.
+            // resume the persistent descent just below the mirrored range
+            // (on its bottom level when that is level 0). The bottom level
+            // stays the sole persistent source of truth — the walk below
+            // revalidates everything the shadow claimed.
             if cached && self.cfg.shadow && top >= 1 {
                 if let Some(s) =
                     self.shadow_position(key, epoch, sgen, &mut preds, &mut succs, &mut key0s)
@@ -132,23 +183,15 @@ impl UpSkipList {
                     split_count = s.split_count;
                     pred = s.pred;
                     pred_k0 = s.pred_k0;
+                    pred_locked = s.write_locked;
                     if let Some(lf) = s.step_level {
                         // The shadow landed inside the containing node;
                         // mirror the step-in return (fresh successor read,
                         // validated split count from the header line).
                         succs[lf] = self.next(preds[lf], lf);
-                        if self.cfg.fingers {
-                            self.finger_record(epoch, sgen, lf, &preds, &key0s);
-                        }
-                        return Traversal {
-                            preds,
-                            succs,
-                            split_count,
-                            key_index: 0,
-                            level_found: lf,
-                        };
+                        finish!(lf, 0);
                     }
-                    start_level = s.low - 1;
+                    start_level = s.low.saturating_sub(1);
                     // Prefetch-ahead: the first pointer the resumed descent
                     // will chase, plus the mirrored successor's header (the
                     // likely next tower when the gap below is short).
@@ -156,7 +199,7 @@ impl UpSkipList {
                         pred.add(crate::layout::next_off_cfg(&self.cfg, start_level) as u32),
                         1,
                     );
-                    self.prefetch(succs[s.low], crate::layout::HEADER_WORDS as u64);
+                    self.prefetch(succs[s.low], HEADER_WORDS as u64);
                 }
             }
             for level in (0..=start_level).rev() {
@@ -174,8 +217,7 @@ impl UpSkipList {
                         let hp = f.preds[level];
                         let hk0 = f.key0s[level];
                         if hk0 <= key && hk0 > pred_k0 && hp != self.head {
-                            let mut hdr = [0u64; crate::layout::HEADER_WORDS];
-                            self.space().read_slice(hp, &mut hdr);
+                            let hdr = self.read_header(hp);
                             if hdr[crate::layout::N_EPOCH as usize] == epoch
                                 && hdr[crate::layout::N_KEYS as usize] == hk0
                             {
@@ -184,6 +226,8 @@ impl UpSkipList {
                                     self.stats.finger_hit();
                                 }
                                 split_count = hdr[crate::layout::N_SPLIT_COUNT as usize];
+                                pred_locked =
+                                    rwlock::is_write_locked(hdr[crate::layout::N_LOCK as usize]);
                                 pred = hp;
                                 pred_k0 = hk0;
                                 if hk0 == key {
@@ -192,16 +236,7 @@ impl UpSkipList {
                                     preds[level] = pred;
                                     succs[level] = self.next(pred, level);
                                     key0s[level] = hk0;
-                                    if self.cfg.fingers {
-                                        self.finger_record(epoch, sgen, level, &preds, &key0s);
-                                    }
-                                    return Traversal {
-                                        preds,
-                                        succs,
-                                        split_count,
-                                        key_index: 0,
-                                        level_found: level,
-                                    };
+                                    finish!(level, 0);
                                 }
                             } else {
                                 hint_live = false;
@@ -209,19 +244,36 @@ impl UpSkipList {
                         }
                     }
                 }
+                // Probe-on-arrival (tagged lists, bottom level): a node is
+                // asked for the key through its tags *before* its `next[0]`
+                // is read. A key read in a node and validated by that
+                // node's split count and lock is linearizable whatever
+                // follows the node — comparing the successor's `keys[0]`
+                // proves absence, nothing else — so a verified hit returns
+                // at once, `succs[0]` unread. The one state in which a node
+                // holds a key it no longer owns is between a split's link
+                // CAS and its erasure, under the write lock: a header that
+                // shows the writer is not probed, and one that does not
+                // took its count with no split running (`read_header`), so
+                // the caller's validation against that count catches every
+                // split since.
+                let probing = level == 0 && self.tags.is_some();
+                if probing && !pred_locked && pred != self.head {
+                    if let Some(i) = self.probe_tags(pred, key) {
+                        preds[0] = pred;
+                        key0s[0] = pred_k0;
+                        finish!(0, i);
+                    }
+                }
                 let mut cur = self.next(pred, level);
                 // Foresight-style prefetch-ahead: pull the next tower's
                 // header toward the cache while this iteration's compare
                 // and branch resolve.
-                self.prefetch(cur, crate::layout::HEADER_WORDS as u64);
+                self.prefetch(cur, HEADER_WORDS as u64);
                 let mut hops = 0u64;
                 loop {
                     debug_assert!(!cur.is_null(), "broken level {level}");
-                    // One streamed line covers epoch, lock, split count and
-                    // keys[0] — the cache-line co-location of §4.4 that makes
-                    // the recovery check free during traversal.
-                    let mut hdr = [0u64; crate::layout::HEADER_WORDS];
-                    self.space().read_slice(cur, &mut hdr);
+                    let mut hdr = self.read_header(cur);
                     if hdr[crate::layout::N_EPOCH as usize] != epoch {
                         if self.check_for_recovery(level, cur, &preds, &succs, recoveries_done) {
                             recoveries_done += 1;
@@ -230,36 +282,34 @@ impl UpSkipList {
                         // Claimed by another thread: proceed as with any
                         // concurrent in-progress operation (re-read the
                         // header so we see its repairs where possible).
-                        self.space().read_slice(cur, &mut hdr);
+                        hdr = self.read_header(cur);
                     }
-                    let cur_split_count = hdr[crate::layout::N_SPLIT_COUNT as usize];
                     let k0 = hdr[crate::layout::N_KEYS as usize];
-                    if k0 <= key {
-                        split_count = cur_split_count;
-                        pred = cur;
-                        pred_k0 = k0;
-                        cur = self.next(pred, level);
-                        self.prefetch(cur, crate::layout::HEADER_WORDS as u64);
-                        hops += 1;
-                        if k0 == key {
-                            // Stepped into the containing node.
-                            self.stats.hops_at(level, hops);
-                            preds[level] = pred;
-                            succs[level] = cur;
-                            key0s[level] = k0;
-                            if self.cfg.fingers {
-                                self.finger_record(epoch, sgen, level, &preds, &key0s);
-                            }
-                            return Traversal {
-                                preds,
-                                succs,
-                                split_count,
-                                key_index: 0,
-                                level_found: level,
-                            };
-                        }
-                    } else {
+                    if k0 > key {
                         break;
+                    }
+                    split_count = hdr[crate::layout::N_SPLIT_COUNT as usize];
+                    pred_locked = rwlock::is_write_locked(hdr[crate::layout::N_LOCK as usize]);
+                    pred = cur;
+                    pred_k0 = k0;
+                    hops += 1;
+                    if probing && k0 != key && !pred_locked {
+                        if let Some(i) = self.probe_tags(pred, key) {
+                            self.stats.hops_at(0, hops);
+                            preds[0] = pred;
+                            key0s[0] = k0;
+                            finish!(0, i);
+                        }
+                    }
+                    cur = self.next(pred, level);
+                    self.prefetch(cur, HEADER_WORDS as u64);
+                    if k0 == key {
+                        // Stepped into the containing node.
+                        self.stats.hops_at(level, hops);
+                        preds[level] = pred;
+                        succs[level] = cur;
+                        key0s[level] = k0;
+                        finish!(level, 0);
                     }
                 }
                 self.stats.hops_at(level, hops);
@@ -273,75 +323,47 @@ impl UpSkipList {
                         pred.add(crate::layout::next_off_cfg(&self.cfg, level - 1) as u32),
                         1,
                     );
-                }
-                if level == 0 && pred != self.head {
-                    let hit = if prove_absence {
-                        self.scan_internal_keys(pred, key)
+                } else if pred != self.head {
+                    // Function 8 on the node the walk ended on. On a tagged
+                    // list its tags were asked on arrival, so what is left
+                    // is the part that proves absence: the streamed scan for
+                    // a reader, and for a writer nothing — its own stream of
+                    // the key array under the read lock is about to start,
+                    // so its lines are requested now.
+                    let hit = if !probing {
+                        self.scan_linear(pred, key)
+                    } else if prove_absence {
+                        self.stats.tag_fallback();
+                        self.scan_linear(pred, key)
                     } else {
-                        self.probe_internal_keys(pred, key)
+                        self.prefetch(
+                            pred.add(crate::layout::key_off(&self.cfg, 0) as u32),
+                            self.cfg.keys_per_node as u64,
+                        );
+                        None
                     };
                     if let Some(i) = hit {
-                        if self.cfg.fingers {
-                            self.finger_record(epoch, sgen, 0, &preds, &key0s);
-                        }
-                        return Traversal {
-                            preds,
-                            succs,
-                            split_count,
-                            key_index: i,
-                            level_found: 0,
-                        };
+                        finish!(0, i);
                     }
                 }
             }
-            if self.cfg.fingers {
-                self.finger_record(epoch, sgen, 0, &preds, &key0s);
-            }
-            return Traversal {
-                preds,
-                succs,
-                split_count,
-                key_index: NO_INDEX,
-                level_found: 0,
-            };
+            finish!(0, NO_INDEX);
         }
     }
 
-    /// Function 8: find `key` among the unordered internal keys (slot 0 was
-    /// already compared during the descent).
-    ///
-    /// Large nodes are searched through their volatile tags first (see the
-    /// `tags` module): only slots whose tag matches are read from pmem, and
-    /// a slot is returned only after its key word compared equal — exactly
-    /// what the linear scan would have seen. Tags never answer "absent":
-    /// with no verified candidate the search falls through to the scan.
-    pub(crate) fn scan_internal_keys(&self, node: RivPtr, key: u64) -> Option<usize> {
-        if let Some(tags) = &self.tags {
-            if let Some(i) = tags.find(node, key, |i| self.key_at(node, i) == key) {
-                self.stats.tag_hit();
-                return Some(i);
-            }
-            self.stats.tag_fallback();
-        }
-        self.scan_linear(node, key)
-    }
-
-    /// Function 8 for a writer (see [`UpSkipList::traverse_for_insert`]):
-    /// the tag probe without the fallback scan. A miss here proves nothing
-    /// and counts as no fallback — the caller's own stream of the key array
-    /// is about to start, so its lines are requested now.
-    fn probe_internal_keys(&self, node: RivPtr, key: u64) -> Option<usize> {
-        let Some(tags) = &self.tags else {
-            return self.scan_linear(node, key);
-        };
-        let hit = tags.find(node, key, |i| self.key_at(node, i) == key);
+    /// Function 8 through the volatile tags (see the `tags` module): only
+    /// slots whose tag matches are read from pmem, and a slot is returned
+    /// only after its key word compared equal — exactly what the linear
+    /// scan would have seen. Tags never answer "absent": a miss here proves
+    /// nothing, and the walk goes on to the next node or to
+    /// [`UpSkipList::scan_linear`]. Slot 0 is the descent's, never a tag's.
+    fn probe_tags(&self, node: RivPtr, key: u64) -> Option<usize> {
+        let hit = self
+            .tags
+            .as_ref()?
+            .find(node, key, |i| self.key_at(node, i) == key);
         if hit.is_some() {
             self.stats.tag_hit();
-        } else {
-            self.prefetch(
-                node.add(crate::layout::key_off(&self.cfg, 0) as u32),
-                self.cfg.keys_per_node as u64,
-            );
         }
         hit
     }

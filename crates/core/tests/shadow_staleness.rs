@@ -7,6 +7,7 @@
 //! 2. The shadow is rebuilt from the persistent bottom levels on every
 //!    open/recover path; it is never itself recovered.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -252,6 +253,111 @@ fn concurrent_history_with_stressed_shadow_is_linearizable() {
     );
     assert!(result.writes_checked > 1_000);
     list.check_invariants();
+}
+
+/// On a tagged list (> 32 keys/node) the image mirrors the bottom level,
+/// so a traversal for a tower's `keys[0]` — found above level 0, where the
+/// persistent descent never fills `preds[0]` — still hands `scan` the
+/// containing node. Before that, such a scan started from the list head:
+/// the further into the list, the more nodes it snapshotted for nothing.
+#[test]
+fn a_scan_from_any_nodes_first_key_starts_on_that_node() {
+    let list = build(12, 64, 1 << 22, false);
+    // An ascending load splits the last node each time it fills: the upper
+    // 32 keys move out, so node j starts at key 1 + 32 j.
+    for k in 1..=6_420u64 {
+        list.insert(k, k);
+    }
+    assert_eq!(list.node_count(), 200);
+    // Growth at the list's end only is the one pattern the image's lazy
+    // refresh does not follow (its regions are degenerate while the base
+    // level has fewer entries than regions): re-image from scratch.
+    list.set_shadow_tuning(
+        upskiplist::DEFAULT_SHADOW_CAPACITY,
+        upskiplist::DEFAULT_SHADOW_REGIONS,
+    );
+    warm(&list, 1..=6_420);
+    assert!(list.shadow_entries() >= 200, "the bottom level is imaged");
+    let reads = |from: u64| {
+        let r0 = list.space().stats_snapshot().reads;
+        let got = list.scan(from, 10);
+        let want: Vec<(u64, u64)> = (from..from + 10).map(|k| (k, k)).collect();
+        assert_eq!(got, want, "scan from {from}");
+        list.space().stats_snapshot().reads - r0
+    };
+    // One node's snapshot: key and value arrays, header words, `next`.
+    let node_lines = 2 * 64 / 8 + 8;
+    for j in 0..200u64 {
+        let k0 = 1 + 32 * j;
+        let (first, inner) = (reads(k0), reads(k0 + 1));
+        assert!(
+            first <= inner + node_lines,
+            "node {j}: a scan from its keys[0] read {first} lines, from the key after it {inner}"
+        );
+    }
+}
+
+/// A stale bottom-level image: the image is frozen while nodes split, so
+/// every consult lands on the node a moved key *used* to live in. The
+/// probe there misses, the walk hops on, and the next node answers —
+/// through every operation, with no key lost or stored twice.
+#[test]
+fn a_stale_bottom_level_image_costs_a_hop_never_a_key() {
+    let list = build(10, 64, 1 << 22, false);
+    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+    for k in (1..=4_000u64).step_by(3) {
+        list.insert(k, k);
+        model.insert(k, k);
+    }
+    warm(&list, (1..=4_000).step_by(3));
+    let nodes_imaged = list.node_count();
+    let m0 = list.struct_metrics();
+    list.with_shadow_frozen(|| {
+        // Two keys into every gap: each imaged node overflows and splits.
+        for k in (1..=4_000u64).filter(|k| k % 3 != 1) {
+            assert_eq!(list.insert(k, k * 2), model.insert(k, k * 2));
+        }
+        assert!(
+            list.node_count() >= nodes_imaged * 3 / 2,
+            "nodes must split"
+        );
+        for k in 1..=4_000u64 {
+            assert_eq!(list.get(k), model.get(&k).copied(), "get {k}");
+        }
+        for k in (1..=4_000u64).step_by(7) {
+            assert_eq!(list.insert(k, k + 7), model.insert(k, k + 7), "update {k}");
+        }
+        for k in (1..=4_000u64).step_by(5) {
+            assert_eq!(list.remove(k), model.remove(&k), "remove {k}");
+            assert_eq!(list.remove(k), None, "second remove {k}");
+        }
+        for k in (1..=4_000u64).step_by(10) {
+            assert_eq!(
+                list.insert(k, k + 9),
+                model.insert(k, k + 9),
+                "reinsert {k}"
+            );
+        }
+        for k in 1..=4_000u64 {
+            let want: Vec<(u64, u64)> = model.range(k..).take(5).map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(list.scan(k, 5), want, "scan from {k}");
+        }
+    });
+    let m = list.struct_metrics().since(&m0);
+    assert_eq!(
+        m.shadow_rebuilds, 0,
+        "the image stayed the one imaged before the splits"
+    );
+    assert!(
+        m.hops_per_level[0] > 4_000,
+        "moved keys are one hop past their imaged node: {} hops",
+        m.hops_per_level[0]
+    );
+    for (&k, &v) in &model {
+        assert_eq!(list.get(k), Some(v));
+    }
+    assert_eq!(list.count_live(), model.len());
+    list.check_invariants(); // includes: no key stored twice in a node
 }
 
 #[test]

@@ -241,36 +241,48 @@ fn fresh_inserts_stream_the_key_array_once() {
     list.check_invariants();
 }
 
-/// The steered path is the one warm gets actually take, at the cost the
-/// design promises: a handful of pmem lines, not the 32-line key array.
+/// The steered path is the one warm gets actually take, at the cost
+/// Function 9 cannot go below: header (split count), key word, value word,
+/// header again. The index image mirrors the bottom level of a tagged list,
+/// so the descent starts *on* the containing node, and its tags are asked
+/// before its `next[0]` is read: no hop, no successor.
 #[test]
-fn warm_gets_are_tag_steered_and_cheap() {
+fn a_warm_get_reads_four_pmem_lines_and_hops_nowhere() {
     let list = build(10, 256, false);
     let n = 20_000u64;
-    for k in 1..=n {
+    let m0 = list.struct_metrics();
+    // Scattered order, as a hashed load arrives (an ascending one grows the
+    // list only at its end, where the image's lazy refresh does not follow
+    // while its base level has fewer entries than regions).
+    for i in 0..n {
+        let k = i * 7_919 % n + 1;
         list.insert(k * 7, k);
     }
+    assert_eq!(
+        list.struct_metrics().since(&m0).tag_fallbacks,
+        0,
+        "an insert-only load never runs the reader's scan"
+    );
     for k in 1..=n {
-        list.get(k * 7); // fills the tags, builds the shadow
+        list.get(k * 7); // refreshes the image regions the last splits aged
     }
-    let (m0, r0) = (list.struct_metrics(), pmem_reads(&list));
+    let m0 = list.struct_metrics();
     for k in 1..=n {
+        let r0 = pmem_reads(&list);
         assert_eq!(list.get(k * 7), Some(k));
+        assert_eq!(pmem_reads(&list) - r0, 4, "warm get of {}", k * 7);
     }
     let m = list.struct_metrics().since(&m0);
-    let reads_per_get = (pmem_reads(&list) - r0) as f64 / n as f64;
+    assert_eq!(m.hops_per_level[0], 0, "the image lands on the node");
     assert_eq!(m.tag_fallbacks, 0, "a filled node needs no fallback scan");
     assert!(
         m.tag_hits >= n * 9 / 10,
         "keys[0] hits aside: {}",
         m.tag_hits
     );
-    assert!(
-        reads_per_get <= 12.0,
-        "{reads_per_get} pmem reads per warm get"
-    );
 
-    // An absent key is never answered from the tags: it pays the scan.
+    // An absent key is never answered from the tags: it pays the hop that
+    // proves the walk may stop, and the scan.
     let (m0, r0) = (list.struct_metrics(), pmem_reads(&list));
     assert_eq!(list.get(11), None);
     assert_eq!(list.struct_metrics().since(&m0).tag_fallbacks, 1);
@@ -282,7 +294,23 @@ fn warm_gets_are_tag_steered_and_cheap() {
 /// while every thread also scrambles the tags now and then.
 #[test]
 fn concurrent_history_with_disturbed_tags_is_linearizable() {
+    disturbed_history_is_linearizable(None);
+}
+
+/// The same history with the image too small for the bottom level (~60
+/// nodes, as many towers above them): the capacity rule drops level 0 and
+/// the descent walks it from the level-1 predecessor, probing each node it
+/// hops into.
+#[test]
+fn concurrent_history_without_the_bottom_level_image_is_linearizable() {
+    disturbed_history_is_linearizable(Some((64, 4)));
+}
+
+fn disturbed_history_is_linearizable(shadow_tuning: Option<(usize, usize)>) {
     let list = build(12, 64, false);
+    if let Some((capacity, regions)) = shadow_tuning {
+        list.set_shadow_tuning(capacity, regions);
+    }
     let ticket = Ticket::new();
     let keyspace = 2_000u64;
     let logs = Arc::new(Mutex::new(Vec::new()));
@@ -329,6 +357,11 @@ fn concurrent_history_with_disturbed_tags_is_linearizable() {
     let m = list.struct_metrics();
     assert!(m.node_splits > 10, "splits must have raced the searches");
     assert!(m.tag_hits > 0 && m.tag_fallbacks > 0);
+    if let Some((capacity, _)) = shadow_tuning {
+        assert!(list.node_count() > capacity / 2, "level 0 must not fit");
+        assert!(list.shadow_entries() <= capacity);
+        assert!(m.hops_per_level[0] > 0, "level 0 is walked, not imaged");
+    }
     list.check_invariants();
 }
 
@@ -382,6 +415,93 @@ fn concurrent_inserts_of_one_key_set_never_duplicate_a_key() {
     assert!(list.struct_metrics().node_splits >= 8, "splits must race");
     assert_eq!(list.count_live(), keyset as usize);
     list.check_invariants(); // includes: no key stored twice in a node
+}
+
+/// The tag of `key`, read back from a scratch list (the hash is the
+/// table's own business): whatever lane appears when `key` becomes a
+/// node's first key.
+fn tag_of(key: u64) -> u16 {
+    let scratch = build(8, 64, false);
+    let lanes = |l: &UpSkipList| {
+        let mut seen = Vec::new();
+        l.map_tags(|t| {
+            seen.push(t);
+            t
+        });
+        seen
+    };
+    scratch.insert(key + 1, 0); // sentinels and slabs exist from here on
+    let before = lanes(&scratch);
+    scratch.insert(key, 0);
+    let after = lanes(&scratch);
+    let new: Vec<u16> = (before.iter().zip(&after))
+        .filter(|(b, a)| b != a)
+        .map(|(_, &a)| a)
+        .collect();
+    assert_eq!(new.len(), 1, "one lane changed: {new:?}");
+    new[0]
+}
+
+/// (iv) A power failure between a split's link CAS and its erasure of the
+/// moved keys leaves the old node holding keys it no longer owns —
+/// write-locked, epoch-stale. No probe may answer from it: the first
+/// consult after `recover()` fails the epoch check on its landing node and
+/// descends from the head, and the walk claims and repairs the old node
+/// before it looks inside. Every tag is planted to say "key 50 is here" to
+/// make a probe of the unrepaired node as tempting as it can be.
+#[test]
+fn a_moved_key_is_never_answered_from_unrepaired_split_residue() {
+    pmem::crash::silence_crash_panics();
+    let tag_50 = tag_of(50);
+    let mut residue_states = 0;
+    for crash_after in 1u64.. {
+        let list = build(8, 64, true);
+        for k in 1..=64u64 {
+            list.insert(k, k * 10);
+        }
+        list.sync();
+        assert_eq!(list.node_count(), 1);
+        let ctl = Arc::clone(list.space().pool(0).crash_controller());
+        ctl.arm_after(crash_after);
+        let done = pmem::run_crashable(|| list.insert(65, 650)).is_ok();
+        ctl.disarm();
+        if done {
+            break; // the sweep has covered every pmem operation of the split
+        }
+        for p in list.space().pools() {
+            p.simulate_crash_with(CrashPlan::DropAll);
+        }
+        pmem::discard_pending();
+        list.recover();
+        // Both nodes still hold the upper half: the state under test.
+        let residue = list.node_count() == 2 && list.count_live() == 64 + 32;
+        residue_states += residue as u32;
+        list.map_tags(|_| tag_50);
+        let m0 = list.struct_metrics();
+        assert_eq!(list.get(50), Some(500), "crash@{crash_after}");
+        let m = list.struct_metrics().since(&m0);
+        assert!(
+            m.shadow_misses >= 1,
+            "crash@{crash_after}: the first consult lands on a stale epoch"
+        );
+        if residue {
+            assert_eq!(
+                list.count_live(),
+                64,
+                "crash@{crash_after}: the old node was repaired on the way"
+            );
+        }
+        for k in 1..=64u64 {
+            assert_eq!(list.get(k), Some(k * 10), "crash@{crash_after}: key {k}");
+        }
+        // The interrupted insert was never acked: landed whole, or not.
+        assert!(
+            matches!(list.get(65), None | Some(650)),
+            "crash@{crash_after}"
+        );
+        list.check_invariants();
+    }
+    assert!(residue_states > 0, "no crash point fell inside the window");
 }
 
 fn load_and_warm(list: &UpSkipList, n: u64) {

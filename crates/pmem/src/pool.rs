@@ -334,19 +334,42 @@ impl Pool {
     /// free of per-word branches. Not atomic as a whole; each word is an
     /// Acquire load, which is what a real scan gets too.
     pub fn read_slice(&self, off: u64, out: &mut [u64]) {
-        if out.is_empty() {
-            return;
+        if self.begin_slice(off, out.len()) {
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = self.volatile[off as usize + i].load(Ordering::Acquire);
+            }
+        }
+    }
+
+    /// [`Pool::read_slice`] with the words loaded from the highest address
+    /// down — same crash check, accounting and latency. For a reader whose
+    /// protocol needs a word to be observed *no later* than one stored
+    /// before it in the span (a counter ahead of the lock word that guards
+    /// it): program-order Acquire loads give that ordering for free on
+    /// hardware, and the direction is the only way to state it here.
+    pub fn read_slice_rev(&self, off: u64, out: &mut [u64]) {
+        if self.begin_slice(off, out.len()) {
+            for (i, slot) in out.iter_mut().enumerate().rev() {
+                *slot = self.volatile[off as usize + i].load(Ordering::Acquire);
+            }
+        }
+    }
+
+    /// Everything a slice read does before its loads; false for an empty
+    /// slice (nothing to read, nothing charged).
+    #[inline]
+    fn begin_slice(&self, off: u64, words: usize) -> bool {
+        if words == 0 {
+            return false;
         }
         self.crash.check();
         if self.accounting {
-            self.account_slice(off, out.len() as u64);
+            self.account_slice(off, words as u64);
         }
         if self.check_on() {
-            check::on_read(self, off, out.len() as u64);
+            check::on_read(self, off, words as u64);
         }
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.volatile[off as usize + i].load(Ordering::Acquire);
-        }
+        true
     }
 
     /// Software prefetch hint for the `words`-word span starting at `off`:

@@ -26,6 +26,14 @@ fn read_slice_matches_individual_reads() {
         for (i, &v) in buf.iter().enumerate() {
             assert_eq!(v, p.read(off + i as u64), "slice({off},{len})[{i}]");
         }
+        // The descending variant differs in load order only: same words,
+        // same line count charged.
+        let mut rev = vec![0u64; len];
+        let before = p.stats().snapshot().reads;
+        p.read_slice_rev(off, &mut rev);
+        let lines = (off + len as u64 - 1) / 8 - off / 8 + 1;
+        assert_eq!(p.stats().snapshot().reads - before, lines);
+        assert_eq!(rev, buf, "slice_rev({off},{len})");
     }
 }
 

@@ -192,6 +192,14 @@ impl RivSpace {
         pool.read_slice(off, out);
     }
 
+    /// [`RivSpace::read_slice`], highest word loaded first (see
+    /// [`Pool::read_slice_rev`]).
+    #[inline]
+    pub fn read_slice_rev(&self, ptr: RivPtr, out: &mut [u64]) {
+        let (pool, off) = self.resolve(ptr);
+        pool.read_slice_rev(off, out);
+    }
+
     #[inline]
     pub fn write(&self, ptr: RivPtr, value: u64) {
         let (pool, off) = self.resolve(ptr);

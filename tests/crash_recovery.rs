@@ -184,6 +184,9 @@ fn multi_pool_numa_deployment_survives_crashes() {
                     let mut k = t + 1;
                     let _ = run_crashable(|| loop {
                         list.insert(k, k + 7);
+                        // The publishing link is flush-deferred; `sync()`
+                        // is the durability ack boundary.
+                        list.sync();
                         acked.store(k, Ordering::Release);
                         k += threads;
                     });

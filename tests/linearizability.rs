@@ -40,7 +40,16 @@ fn run_phase(
                     } else {
                         let value = ticket.next();
                         let idx = log.begin(ticket, OpKind::Write, key, value);
-                        match run_crashable(|| list.insert(key, value)) {
+                        // Acknowledged only once durable: the insert's
+                        // publishing link is flush-deferred and `sync()` is
+                        // the ack boundary, so it runs inside the crashable
+                        // closure (a crash before it leaves the op pending).
+                        let acked = run_crashable(|| {
+                            let old = list.insert(key, value);
+                            list.sync();
+                            old
+                        });
+                        match acked {
                             Ok(old) => log.finish(ticket, idx, old.unwrap_or(EMPTY)),
                             Err(_) => break,
                         }
