@@ -89,8 +89,8 @@ fn update_flushes_exactly_the_value_line() {
     }
     let t = l.traverse(5);
     assert!(t.found());
-    let val_line = line_of(&l, t.node(), val_off(l.config(), t.key_index));
-    let hdr_line = line_of(&l, t.node(), N_LOCK);
+    let val_line = line_of(&l, t.landing(), val_off(l.config(), t.key_index));
+    let hdr_line = line_of(&l, t.landing(), N_LOCK);
 
     audit::begin();
     assert_eq!(l.insert(5, 999), Some(5));
@@ -123,8 +123,8 @@ fn remove_flushes_exactly_the_tombstoned_value_line() {
     }
     let t = l.traverse(9);
     assert!(t.found());
-    let val_line = line_of(&l, t.node(), val_off(l.config(), t.key_index));
-    let hdr_line = line_of(&l, t.node(), N_LOCK);
+    let val_line = line_of(&l, t.landing(), val_off(l.config(), t.key_index));
+    let hdr_line = line_of(&l, t.landing(), N_LOCK);
 
     audit::begin();
     assert_eq!(l.remove(9), Some(9));
@@ -151,7 +151,7 @@ fn fresh_insert_flushes_the_whole_new_node_before_linking() {
 
     let t = l.traverse(15);
     assert!(t.found());
-    let new_node = t.node();
+    let new_node = t.landing();
     assert!(
         node_lines(&l, new_node).is_subset(&rec.flushed),
         "every line of the freshly linked node must have been flushed"

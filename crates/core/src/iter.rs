@@ -1,7 +1,6 @@
-//! Streaming iteration over the live key-value pairs.
-//!
-//! Iteration walks the bottom level, snapshotting one node at a time with
-//! the same split-counter validation as a range query: each node's pairs
+//! Streaming iteration over the live key-value pairs: the one walk behind
+//! `iter`, `scan` and `range`. It reads the bottom level one node at a time
+//! with the same split-counter validation as a lookup: each node's pairs
 //! are consistent, but the iteration as a whole is weakly consistent (the
 //! thesis leaves fully linearizable scans as future work).
 
@@ -9,57 +8,60 @@ use std::cell::RefCell;
 
 use riv::RivPtr;
 
-use crate::config::{KEY_NULL, TOMBSTONE};
+use crate::config::{KEY_NULL, MIN_USER_KEY, TOMBSTONE};
 use crate::layout::{key_off, val_off};
 use crate::list::UpSkipList;
 use crate::rwlock;
 
-/// Iterator over live `(key, value)` pairs in ascending key order.
-/// Created by [`UpSkipList::iter`].
+/// Iterator over live `(key, value)` pairs, strictly ascending.
+/// Created by [`UpSkipList::iter`] and [`UpSkipList::iter_from`].
 pub struct Iter<'a> {
     list: &'a UpSkipList,
     node: RivPtr,
+    /// The lower bound, then one past the last key yielded: below it lie a
+    /// moved half met again (a split raced a `next` read) and racing inserts.
+    floor: u64,
+    /// Inclusive upper bound, checked on `keys[0]` before a node is read.
+    hi: Option<u64>,
     buffer: Vec<(u64, u64)>,
     idx: usize,
 }
 
 impl UpSkipList {
-    /// Iterate over all live pairs, ascending. Weakly consistent: each
-    /// node is read atomically (validated against concurrent splits), but
-    /// pairs moved between nodes mid-iteration may be seen once on either
-    /// side of the move.
+    /// Iterate over all live pairs. Weakly consistent: each node is read
+    /// atomically (validated against concurrent splits); keys come strictly
+    /// ascending, each once, even when pairs move between nodes meanwhile.
     pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            list: self,
-            node: self.next(self.head(), 0),
-            buffer: Vec::new(),
-            idx: 0,
-        }
+        self.walk(self.head, KEY_NULL, None)
+    }
+
+    /// As [`UpSkipList::iter`], from the first live key ≥ `from`.
+    pub fn iter_from(&self, from: u64) -> Iter<'_> {
+        self.walk_from(from, None)
     }
 
     /// YCSB-style scan: up to `limit` live pairs with keys ≥ `from`,
     /// ascending (workload E's operation).
     pub fn scan(&self, from: u64, limit: usize) -> Vec<(u64, u64)> {
-        let t = self.traverse(from.max(crate::config::MIN_USER_KEY));
-        let mut node = if t.preds[0] != self.head() && !t.preds[0].is_null() {
-            t.preds[0]
-        } else {
-            self.next(self.head(), 0)
-        };
         let mut out = Vec::with_capacity(limit);
-        let mut pairs = Vec::new();
-        while node != self.tail() && out.len() < limit {
-            self.snapshot_node(node, &mut pairs);
-            // A split that runs between the previous node's snapshot and
-            // its `next` read hands the walk that node's moved half again:
-            // keys at or below the last one taken are those, or inserts
-            // that raced the scan.
-            let floor = out.last().map_or(from, |&(k, _)| k + 1);
-            let wanted = pairs.iter().filter(|&&(k, _)| k >= floor);
-            out.extend(wanted.take(limit - out.len()));
-            node = self.next(node, 0);
-        }
+        out.extend(self.iter_from(from).take(limit));
         out
+    }
+
+    /// The walk over `[lo, hi]`, started where the descent for `lo` lands.
+    pub(crate) fn walk_from(&self, lo: u64, hi: Option<u64>) -> Iter<'_> {
+        self.walk(self.traverse(lo.max(MIN_USER_KEY)).landing(), lo, hi)
+    }
+
+    fn walk(&self, node: RivPtr, floor: u64, hi: Option<u64>) -> Iter<'_> {
+        Iter {
+            list: self,
+            node,
+            floor,
+            hi,
+            buffer: Vec::new(),
+            idx: 0,
+        }
     }
 
     /// Validated snapshot of one node's live pairs, sorted, into `pairs`
@@ -107,16 +109,27 @@ impl Iterator for Iter<'_> {
 
     fn next(&mut self) -> Option<(u64, u64)> {
         loop {
-            if self.idx < self.buffer.len() {
-                let item = self.buffer[self.idx];
+            while let Some(&(k, v)) = self.buffer.get(self.idx) {
                 self.idx += 1;
-                return Some(item);
+                if self.hi.is_some_and(|hi| k > hi) {
+                    self.node = self.list.tail; // sorted: nothing more is wanted
+                    return None;
+                }
+                if k >= self.floor {
+                    self.floor = k + 1;
+                    return Some((k, v));
+                }
             }
-            if self.node == self.list.tail() {
+            if self.node == self.list.tail
+                || self.hi.is_some_and(|hi| self.list.key0(self.node) > hi)
+            {
                 return None;
             }
-            self.list.snapshot_node(self.node, &mut self.buffer);
-            self.idx = 0;
+            // The head (a start below every key) holds no pairs: step past.
+            if self.node != self.list.head {
+                self.list.snapshot_node(self.node, &mut self.buffer);
+                self.idx = 0;
+            }
             self.node = self.list.next(self.node, 0);
         }
     }
@@ -152,32 +165,69 @@ mod tests {
     }
 
     #[test]
+    fn a_split_between_a_snapshot_and_its_next_read_yields_no_key_twice() {
+        let l = ListBuilder {
+            list: ListConfig::new(10, 4),
+            ..ListBuilder::default()
+        }
+        .create();
+        for k in 1..=4u64 {
+            l.insert(k, k);
+        }
+        let node = l.next(l.head(), 0);
+        let mut it = l.iter();
+        assert_eq!(it.next(), Some((1, 1)), "snapshots the full node");
+        // A split moves {3, 4} out; the walk then reads the node's `next`
+        // as if that read had raced the split, and lands on the moved half.
+        l.insert(5, 5);
+        it.node = l.next(node, 0);
+        let rest: Vec<u64> = it.map(|(k, _)| k).collect();
+        assert_eq!(rest, vec![2, 3, 4, 5]);
+    }
+
+    #[test]
     fn iter_under_concurrent_inserts_terminates_and_is_sane() {
         let l = ListBuilder {
             list: ListConfig::new(10, 4),
             ..ListBuilder::default()
         }
         .create();
-        for k in 1..=200u64 {
+        // Pre-existing keys are the multiples of 4; the writer fills the
+        // gaps between them, in a scattered order, so the nodes the readers
+        // walk keep splitting under them.
+        for k in (4..=800u64).step_by(4) {
             l.insert(k, 1);
         }
+        let done = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
-            let writer = s.spawn(|| {
+            s.spawn(|| {
                 pmem::thread::register(1, 0);
-                for k in 201..=600u64 {
-                    l.insert(k, 1);
+                for i in 0..800u64 {
+                    let k = 1 + (i * 337) % 800;
+                    if k % 4 != 0 {
+                        l.insert(k, 1);
+                    }
                 }
+                done.store(true, std::sync::atomic::Ordering::Release);
             });
             pmem::thread::register(0, 0);
-            for _ in 0..20 {
+            let mut rounds = 0;
+            while rounds < 20 || !done.load(std::sync::atomic::Ordering::Acquire) {
+                rounds += 1;
                 let seen: Vec<u64> = l.iter().map(|(k, _)| k).collect();
-                // All pre-existing keys must be observed; new ones may or
-                // may not be, but never out of order within a node walk.
-                for k in 1..=200u64 {
-                    assert!(seen.contains(&k), "pre-existing key {k} missed");
+                // Strictly ascending: a key is never seen twice, nor out
+                // of order, whatever moved between nodes meanwhile.
+                assert!(
+                    seen.windows(2).all(|w| w[0] < w[1]),
+                    "round {rounds}: not strictly ascending"
+                );
+                for k in (4..=800u64).step_by(4) {
+                    assert!(
+                        seen.binary_search(&k).is_ok(),
+                        "pre-existing key {k} missed"
+                    );
                 }
             }
-            writer.join().unwrap();
         });
     }
 }

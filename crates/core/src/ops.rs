@@ -44,7 +44,7 @@ impl UpSkipList {
         loop {
             let t = self.traverse_for_insert(key);
             if t.found() {
-                let node = t.node();
+                let node = t.landing();
                 if !self.ensure_current_epoch(node) {
                     continue; // another thread is repairing the node
                 }
@@ -60,8 +60,7 @@ impl UpSkipList {
                 rwlock::read_unlock(self.space(), node);
                 return (old != TOMBSTONE).then_some(old);
             }
-            let pred = t.preds[0];
-            if pred == self.head || self.cfg.keys_per_node == 1 {
+            if t.landing() == self.head || self.cfg.keys_per_node == 1 {
                 // No node can hold the key (the head stores none, and
                 // single-key nodes cannot make room): link a fresh node
                 // (Function 15, generalized from head-successor to
@@ -115,13 +114,13 @@ impl UpSkipList {
                 // Validate the absent outcome as in Function 9's extension
                 // (see `search_raw`): a concurrent split may have moved the
                 // key out of the node that was scanned.
-                let pred0 = t.preds[0];
-                if pred0 != self.head && !self.node_unsplit_since(pred0, t.split_count) {
+                let landing = t.landing();
+                if landing != self.head && !self.node_unsplit_since(landing, t.split_count) {
                     continue;
                 }
                 return None;
             }
-            let node = t.node();
+            let node = t.landing();
             if !self.ensure_current_epoch(node) {
                 continue;
             }
@@ -157,28 +156,11 @@ impl UpSkipList {
     /// assert_eq!(list.range(4, 6), vec![(4, 16), (6, 36)]);
     /// ```
     ///
-    /// Per-node reads are validated with the split counter, but the scan is
-    /// not linearizable as a whole — the thesis leaves linearizable range
-    /// queries as future work (Chapter 7); this is the practical extension.
+    /// Weakly consistent, as [`UpSkipList::iter`]: the thesis leaves
+    /// linearizable range queries as future work (Chapter 7).
     pub fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
         assert!(lo <= hi);
-        let mut out = Vec::new();
-        let t = self.traverse(lo.max(MIN_USER_KEY));
-        let mut node = if t.preds[0] != self.head && !t.preds[0].is_null() {
-            t.preds[0]
-        } else {
-            self.next(self.head, 0)
-        };
-        let mut pairs = Vec::new();
-        while node != self.tail && self.key0(node) <= hi {
-            // Per-node snapshot with validation (as in Function 9); keys at
-            // or below the last one taken are skipped as in `scan`.
-            self.snapshot_node(node, &mut pairs);
-            let floor = out.last().map_or(lo, |&(k, _)| k + 1);
-            out.extend(pairs.iter().filter(|&&(k, _)| k >= floor && k <= hi));
-            node = self.next(node, 0);
-        }
-        out
+        self.walk_from(lo, Some(hi)).collect()
     }
 
     /// Count live keys (diagnostic; quiescent use only).

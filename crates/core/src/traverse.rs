@@ -27,13 +27,14 @@ thread_local! {
 /// key was found, if anywhere.
 ///
 /// A *not-found* traversal fills every level of both arrays. A *found* one
-/// guarantees `node()`, `key_index`, `split_count` and, above
+/// guarantees `landing()`, `key_index`, `split_count` and, above
 /// `level_found`, the `preds`/`succs` the walk ended on (tower building
 /// links against those) — plus `preds[0]` whenever the descent reached, or
 /// the index image mirrors, the bottom level. From `level_found` down
 /// `succs` are meaningful only when `!found()`: a hit returns the moment
 /// the key is seen, so a successor there may be unread (NULL) or an
-/// unvalidated image hint.
+/// unvalidated image hint. Either way [`Traversal::landing`] is where the
+/// descent ended, and a range walk starts: the node whose range holds the key.
 pub(crate) struct Traversal {
     pub preds: [RivPtr; MAX_HEIGHT],
     pub succs: [RivPtr; MAX_HEIGHT],
@@ -42,7 +43,7 @@ pub(crate) struct Traversal {
     pub split_count: u64,
     /// Index of the key in the containing node, or [`NO_INDEX`].
     pub key_index: usize,
-    /// Level at which the containing node was recorded.
+    /// Level at which the containing node was recorded; 0 on a miss.
     pub level_found: usize,
 }
 
@@ -52,9 +53,10 @@ impl Traversal {
         self.key_index != NO_INDEX
     }
 
-    /// The node containing the key (valid only when [`Traversal::found`]).
+    /// The containing node when [`Traversal::found`], else `preds[0]` (a
+    /// miss reports `level_found` 0).
     #[inline]
-    pub fn node(&self) -> RivPtr {
+    pub fn landing(&self) -> RivPtr {
         self.preds[self.level_found]
     }
 }
@@ -426,13 +428,13 @@ impl UpSkipList {
         loop {
             let t = self.traverse(key);
             if !t.found() {
-                let pred0 = t.preds[0];
-                if pred0 != self.head && !self.node_unsplit_since(pred0, t.split_count) {
+                let landing = t.landing();
+                if landing != self.head && !self.node_unsplit_since(landing, t.split_count) {
                     continue; // keys were (or are) mid-transfer
                 }
                 return None;
             }
-            let node = t.node();
+            let node = t.landing();
             let value = self.val_at(node, t.key_index);
             if !self.node_unsplit_since(node, t.split_count) {
                 continue; // a split moved (or is moving) keys under us

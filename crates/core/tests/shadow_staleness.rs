@@ -275,38 +275,61 @@ fn concurrent_history_with_stressed_shadow_is_linearizable() {
     list.check_invariants();
 }
 
-/// On a tagged list (> 32 keys/node) the image mirrors the bottom level,
-/// so a traversal for a tower's `keys[0]` — found above level 0, where the
-/// persistent descent never fills `preds[0]` — still hands `scan` the
-/// containing node. Before that, such a scan started from the list head:
-/// the further into the list, the more nodes it snapshotted for nothing.
+/// A scan or range from a node's `keys[0]` starts on that node, at every
+/// node size and with or without the index shadow. Such a key is often
+/// found on an upper level, as a tower's first key; the walk starts on
+/// `Traversal::landing`, the containing node, rather than on the list head.
+/// Starting from the head, a scan read more nodes the further into the list
+/// it began.
 #[test]
 fn a_scan_from_any_nodes_first_key_starts_on_that_node() {
-    let list = build(12, 64, 1 << 22, false);
-    // An ascending load splits the last node each time it fills: the upper
-    // 32 keys move out, so node j starts at key 1 + 32 j.
-    for k in 1..=6_420u64 {
-        list.insert(k, k);
-    }
-    assert_eq!(list.node_count(), 200);
-    warm(&list, 1..=6_420);
-    assert!(list.shadow_entries() >= 200, "the bottom level is imaged");
-    let reads = |from: u64| {
-        let r0 = list.space().stats_snapshot().reads;
-        let got = list.scan(from, 10);
-        let want: Vec<(u64, u64)> = (from..from + 10).map(|k| (k, k)).collect();
-        assert_eq!(got, want, "scan from {from}");
-        list.space().stats_snapshot().reads - r0
-    };
-    // One node's snapshot: key and value arrays, header words, `next`.
-    let node_lines = 2 * 64 / 8 + 8;
-    for j in 0..200u64 {
-        let k0 = 1 + 32 * j;
-        let (first, inner) = (reads(k0), reads(k0 + 1));
-        assert!(
-            first <= inner + node_lines,
-            "node {j}: a scan from its keys[0] read {first} lines, from the key after it {inner}"
-        );
+    const NODES: u64 = 200;
+    for kpn in [16usize, 64] {
+        for shadow in [true, false] {
+            let mut cfg = ListConfig::new(12, kpn);
+            cfg.shadow = shadow;
+            let list = ListBuilder {
+                list: cfg,
+                pool_words: 1 << 22,
+                obs: ObsLevel::Counters,
+                ..ListBuilder::default()
+            }
+            .create();
+            // An ascending load splits the last node each time it fills:
+            // the upper half moves out, so node j starts at key 1 + half j.
+            let half = kpn as u64 / 2;
+            let n = NODES * half + half / 2;
+            for k in 1..=n {
+                list.insert(k, k);
+            }
+            assert_eq!(list.node_count() as u64, NODES);
+            warm(&list, 1..=n);
+            let row = format!("{kpn} keys/node, shadow {shadow}");
+            let reads = |from: u64, ranged: bool| {
+                let want: Vec<(u64, u64)> = (from..from + 10).map(|k| (k, k)).collect();
+                let r0 = list.space().stats_snapshot().reads;
+                let got = if ranged {
+                    list.range(from, from + 9)
+                } else {
+                    list.scan(from, 10)
+                };
+                assert_eq!(got, want, "{row}: from {from}, range {ranged}");
+                list.space().stats_snapshot().reads - r0
+            };
+            // One node's snapshot: key and value arrays, header words, `next`.
+            let node_lines = 2 * kpn as u64 / 8 + 8;
+            for ranged in [false, true] {
+                for j in 0..NODES {
+                    let k0 = 1 + half * j;
+                    let (first, inner) = (reads(k0, ranged), reads(k0 + 1, ranged));
+                    assert!(
+                        first <= inner + node_lines,
+                        "{row}, range {ranged}, node {j}: from its keys[0] read {first} \
+                         lines, from the key after it {inner}"
+                    );
+                }
+            }
+        }
     }
 }
 
