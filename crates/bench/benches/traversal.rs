@@ -1,5 +1,5 @@
-//! Traversal fast path: single-key descents with the search fingers on vs
-//! off, and batched lookups at several batch sizes. Complements the
+//! Traversal fast path: single-key descents and batched lookups at several
+//! batch sizes, on the un-shadowed persistent descent. Complements the
 //! `traversal` binary (which also reports pmem reads per op) with
 //! criterion-grade timing.
 
@@ -8,13 +8,12 @@ use rand::{Rng, SeedableRng};
 
 const RECORDS: u64 = 100_000;
 
-fn loaded_list(fingers: bool, shadow: bool) -> std::sync::Arc<upskiplist::UpSkipList> {
+fn loaded_list(shadow: bool) -> std::sync::Arc<upskiplist::UpSkipList> {
     let d = bench::Deployment::simple(RECORDS);
     let list = bench::build_upskiplist(
         &d,
         bench::UpSkipListOpts {
             keys_per_node: 256,
-            fingers,
             shadow,
             ..Default::default()
         },
@@ -29,18 +28,15 @@ fn bench_traversal(c: &mut Criterion) {
     let mut group = c.benchmark_group("traversal");
     group.sample_size(20);
 
-    for (name, fingers) in [("seed", false), ("fingered", true)] {
-        let list = loaded_list(fingers, false);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        group.bench_with_input(BenchmarkId::new("get", name), &list, |b, l| {
-            b.iter(|| {
-                let k = ycsb::key_of(rng.gen_range(0..RECORDS));
-                std::hint::black_box(l.get(k))
-            })
-        });
-    }
+    let list = loaded_list(false);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    group.bench_function("get", |b| {
+        b.iter(|| {
+            let k = ycsb::key_of(rng.gen_range(0..RECORDS));
+            std::hint::black_box(list.get(k))
+        })
+    });
 
-    let list = loaded_list(true, false);
     for batch in [8usize, 32, 128] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         group.bench_with_input(BenchmarkId::new("get_batch", batch), &list, |b, l| {
@@ -62,7 +58,7 @@ fn bench_shadow_descent(c: &mut Criterion) {
     group.sample_size(20);
 
     for (name, shadow) in [("off", false), ("on", true)] {
-        let list = loaded_list(true, shadow);
+        let list = loaded_list(shadow);
         // One warm pass so the lazy rebuild happens outside the timer.
         list.get(ycsb::key_of(0));
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);

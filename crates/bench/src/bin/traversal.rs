@@ -1,5 +1,5 @@
-//! E10 — traversal fast path: per-thread search fingers, the DRAM index
-//! shadow, and batched reads vs the seed head-descent, measured by
+//! E10 — traversal fast path: the DRAM index shadow and batched reads vs
+//! the seed head-descent, measured by
 //! throughput *and* by pmem reads per operation (the pool stats counters
 //! are the simulator's ground truth for how many PMEM words a descent
 //! touches).
@@ -17,7 +17,7 @@
 //! batch of scans, `from` drawn from the loaded keys, length 1–100);
 //! `--json` additionally writes the same rows as a machine-readable report,
 //! and `--metrics PATH` writes a standardized [`MetricsReport`] including
-//! the structure counters (finger hit rate, shadow hit rate, hops per
+//! the structure counters (shadow hit rate, hops per
 //! traversal, in-node tag hits and fallbacks). `--gate` exits non-zero
 //! unless the shadow descent cuts reads/op by at least 25% vs the
 //! shadow-off batched descent at the largest key count and batch size;
@@ -44,8 +44,9 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use upskiplist::{StructMetricsSnapshot, UpSkipList};
 use ycsb::{Distribution, Workload, WorkloadSpec};
 
-/// Read-only uniform workload: every key equally likely, so finger and
-/// shadow hits come only from batch sorting and locality, not from skew.
+/// Read-only uniform workload: every key equally likely, so shadow hits
+/// and cached lines come only from batch sorting and locality, not from
+/// skew.
 const UNIFORM_READS: WorkloadSpec = WorkloadSpec {
     name: "C-uniform",
     read_pct: 100,
@@ -110,10 +111,8 @@ struct Row {
     structure: StructMetricsSnapshot,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn measure(
     variant: &'static str,
-    fingers: bool,
     shadow: bool,
     batch: usize,
     records: u64,
@@ -129,7 +128,6 @@ fn measure(
         &d,
         UpSkipListOpts {
             keys_per_node,
-            fingers,
             shadow,
             ..Default::default()
         },
@@ -194,14 +192,11 @@ fn main() {
         .get("gate-scan-reads")
         .map(|v| v.parse().expect("--gate-scan-reads must be a number"));
 
-    let mut variants: Vec<(&'static str, bool, bool, usize)> = vec![
-        ("seed", false, false, 1),
-        ("fingered", true, false, 1),
-        ("shadowed", true, true, 1),
-    ];
+    let mut variants: Vec<(&'static str, bool, usize)> =
+        vec![("seed", false, 1), ("shadowed", true, 1)];
     for &b in &batches {
-        variants.push(("batched", true, false, b.max(2)));
-        variants.push(("shadow_batched", true, true, b.max(2)));
+        variants.push(("batched", false, b.max(2)));
+        variants.push(("shadow_batched", true, b.max(2)));
     }
     let mut rows = Vec::new();
     println!(
@@ -209,8 +204,8 @@ fn main() {
     );
     for &records in &keys {
         for &t in &threads {
-            for &(variant, fingers, shadow, b) in &variants {
-                let row = measure(variant, fingers, shadow, b, records, ops, t, keys_per_node);
+            for &(variant, shadow, b) in &variants {
+                let row = measure(variant, shadow, b, records, ops, t, keys_per_node);
                 println!(
                     "{},{},{},{},{},{:.4},{:.2},{:.2},{:.2}",
                     row.variant,
@@ -285,7 +280,7 @@ fn main() {
     }
 
     // The whole point of the fast path: the shadow descent must touch
-    // fewer PMEM words per read than the finger-only descent. Compare at
+    // fewer PMEM words per read than the persistent descent. Compare at
     // the largest key count and batch size, last thread count.
     let off = rows.iter().rev().find(|r| r.variant == "batched").unwrap();
     let on = rows

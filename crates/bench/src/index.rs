@@ -187,10 +187,8 @@ pub struct UpSkipListOpts {
     /// Keys per multi-key node (§5.1.2 uses 256; 1 reproduces the
     /// single-key variant of Fig 5.3).
     pub keys_per_node: usize,
-    /// DRAM search fingers (the traversal experiment toggles these).
-    pub fingers: bool,
-    /// DRAM index shadow for the upper levels (the traversal experiment
-    /// toggles this against the finger-only descent).
+    /// DRAM index shadow (the traversal experiment toggles this against
+    /// the persistent descent from the head).
     pub shadow: bool,
     /// Shadow entry budget across mirrored levels (0 = library default).
     pub shadow_capacity: usize,
@@ -207,7 +205,6 @@ impl Default for UpSkipListOpts {
     fn default() -> Self {
         Self {
             keys_per_node: 16,
-            fingers: true,
             shadow: true,
             shadow_capacity: 0,
             evict_one_in: 0,
@@ -239,7 +236,6 @@ pub fn build_upskiplist_at(
     home_node: u16,
 ) -> Arc<UpSkipList> {
     let mut cfg = sized_config(d, opts.keys_per_node);
-    cfg.fingers = opts.fingers;
     cfg.shadow = opts.shadow;
     let mut b = sized_builder(d, cfg, opts.evict_one_in);
     b.home_node = home_node;
@@ -412,16 +408,6 @@ mod tests {
         );
         l.insert(1, 1);
         assert_eq!(l.get(1), Some(1));
-        // fingers off + counters (old build_upskiplist_traversal)
-        let l = build_upskiplist(
-            &d,
-            UpSkipListOpts {
-                fingers: false,
-                ..Default::default()
-            },
-        );
-        l.insert(2, 2);
-        assert_eq!(l.get(2), Some(2));
         assert!(l.space().stats_snapshot().reads > 0, "counters must be on");
     }
 }

@@ -10,7 +10,7 @@
 //! * `recovery` — Table 5.4 (post-crash reconnection time)
 //! * `crash_test` — Chapter 6 (crash injection + strict-linearizability
 //!   analysis)
-//! * `traversal` — E-series extension: fingered/batched descents vs the
+//! * `traversal` — E-series extension: shadowed/batched descents vs the
 //!   seed head-descent (throughput and pmem reads per op)
 
 pub mod args;

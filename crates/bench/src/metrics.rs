@@ -144,20 +144,18 @@ pub fn push_latency_rows(report: &mut MetricsReport, structure: &str, registry: 
     }
 }
 
-/// Append UPSkipList structure-internal counters (CAS retries, finger
+/// Append UPSkipList structure-internal counters (CAS retries, shadow
 /// hit rate, splits, allocator paths, traversal hops).
 pub fn push_struct_rows(
     report: &mut MetricsReport,
     structure: &str,
     m: &upskiplist::StructMetricsSnapshot,
 ) {
-    let rows: [(&str, u64); 23] = [
+    let rows: [(&str, u64); 21] = [
         ("cas_retries", m.cas_retries),
         ("lock_waits", m.lock_waits),
         ("node_splits", m.node_splits),
         ("node_purges", m.node_purges),
-        ("finger_hits", m.finger_hits),
-        ("finger_misses", m.finger_misses),
         ("shadow_hits", m.shadow_hits),
         ("shadow_misses", m.shadow_misses),
         ("shadow_rebuilds", m.shadow_rebuilds),

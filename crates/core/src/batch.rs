@@ -1,11 +1,13 @@
 //! Batched operations.
 //!
-//! A batch sorts its keys once and processes them in ascending order, so
-//! each operation's descent starts from the *previous* key's predecessor
-//! tower via the per-thread search finger (`finger` module) instead of from
-//! the head. For a batch of n nearby keys this collapses n full descents
-//! into one descent plus n short hops — the access pattern the finger cache
-//! is built for.
+//! A batch sorts its keys once and processes them in ascending order for
+//! locality: consecutive operations land on the same or neighbouring
+//! nodes, whose header and key lines the previous operation just pulled
+//! in, and a run of inserts fills one node and splits it before moving on
+//! instead of scattering splits — and the shadow-region refreshes each
+//! split triggers — across the whole list. The service loads its shards
+//! through `insert_batch`, and that load measured about 1.5× slower in
+//! input order.
 //!
 //! Semantics: each batch is equivalent to applying the operations one at a
 //! time in **input order** (duplicate keys within a batch are resolved by
@@ -28,7 +30,7 @@ impl UpSkipList {
     /// Look up every key in `keys`. Returns the values in input order
     /// (`None` for absent keys). Equivalent to calling [`UpSkipList::get`]
     /// per key, but keys are visited in ascending order so consecutive
-    /// lookups share most of their descent.
+    /// lookups land on neighbouring nodes.
     pub fn get_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
         let mut out = vec![None; keys.len()];
         for i in ascending_order(keys.iter().copied()) {

@@ -38,11 +38,11 @@ impl UpSkipList {
     /// nodes reclaimed.
     pub fn compact(&self) -> usize {
         // Compaction is the one path that physically frees nodes, which the
-        // epoch protocol does not cover — invalidate every search finger
-        // (one generation bump) and throw the shadow image away outright
-        // before any block can be recycled: unlike fingers, stale shadow
-        // entries are used as hints even past a generation mismatch, so
-        // the image itself must not outlive the nodes it points at. The
+        // epoch protocol does not cover — bump the structure generation and
+        // throw the shadow image away outright before any block can be
+        // recycled: stale shadow entries are used as hints even past a
+        // generation mismatch, so the image itself must not outlive the
+        // nodes it points at. The
         // in-node search tags go with it (recycled blocks get fresh ones).
         self.invalidate_structure();
         self.shadow.discard();

@@ -23,13 +23,6 @@ pub struct ListConfig {
     /// Key-value pairs per node (the thesis evaluates 256; 1 reproduces a
     /// classic one-key-per-node skip list for the Fig 5.3 comparison).
     pub keys_per_node: usize,
-    /// Keep per-thread *search fingers*: volatile caches of a recent
-    /// traversal's predecessor towers that let the next descent start from
-    /// the deepest still-valid hint instead of the head (*Skiplists with
-    /// Foresight*'s optimization, applied to the PMEM descent). Fingers are
-    /// DRAM-only hints, invalidated by epoch bumps and validated by the
-    /// split-count protocol, so recoverability is untouched. On by default.
-    pub fingers: bool,
     /// Keep the *index shadow*: a volatile DRAM mirror of the upper levels
     /// consulted before the persistent descent, so point operations touch
     /// PMEM only for the bottom-level walk and the target node (see the
@@ -43,7 +36,6 @@ impl Default for ListConfig {
         Self {
             max_height: MAX_HEIGHT,
             keys_per_node: 16,
-            fingers: true,
             shadow: true,
         }
     }
@@ -63,16 +55,8 @@ impl ListConfig {
         Self {
             max_height,
             keys_per_node,
-            fingers: true,
             shadow: true,
         }
-    }
-
-    /// Disable the per-thread search-finger cache (the seed head-descent
-    /// path; benchmarks use it as the comparison baseline).
-    pub fn without_fingers(mut self) -> Self {
-        self.fingers = false;
-        self
     }
 
     /// Disable the DRAM index shadow (benchmarks use the un-shadowed
@@ -82,22 +66,21 @@ impl ListConfig {
         self
     }
 
-    /// Pack into one root word. The finger and shadow bits are stored
-    /// inverted so roots formatted before each option existed (bits 61/60
-    /// = 0) unpack with the defaults (`fingers = true`, `shadow = true`).
+    /// Pack into one root word. The shadow bit is stored inverted so roots
+    /// formatted before the option existed (bit 60 = 0) unpack with the
+    /// default (`shadow = true`).
     pub fn pack(&self) -> u64 {
         (self.max_height as u64)
             | ((self.keys_per_node as u64) << 8)
             | ((!self.shadow as u64) << 60)
-            | ((!self.fingers as u64) << 61)
     }
 
-    /// Unpack from a root word. Bit 62 selected the retired sorted-lookup
-    /// mode and is ignored: nothing assumes key order inside a node any
-    /// more, so a pool formatted with it opens like any other.
+    /// Unpack from a root word. Bits 61 and 62 selected retired options
+    /// (the per-thread search-finger cache and the sorted-lookup mode) and
+    /// are ignored: neither changed the persistent layout, so a pool
+    /// formatted with either opens like any other.
     pub fn unpack(word: u64) -> Self {
         let mut cfg = Self::new((word & 0xff) as usize, ((word >> 8) & 0xffff_ffff) as usize);
-        cfg.fingers = word >> 61 & 1 == 0;
         cfg.shadow = word >> 60 & 1 == 0;
         cfg
     }
@@ -112,21 +95,16 @@ mod tests {
     fn pack_roundtrip() {
         let c = ListConfig::new(17, 256);
         assert_eq!(ListConfig::unpack(c.pack()), c);
-        let c = ListConfig::new(17, 256).without_fingers();
-        assert_eq!(ListConfig::unpack(c.pack()), c);
         let c = ListConfig::new(17, 256).without_shadow();
-        assert_eq!(ListConfig::unpack(c.pack()), c);
-        let c = ListConfig::new(17, 256).without_fingers().without_shadow();
         assert_eq!(ListConfig::unpack(c.pack()), c);
     }
 
     #[test]
-    fn legacy_roots_unpack_with_fingers_enabled() {
-        // A root word packed before the finger/shadow options existed has
-        // bits 61/60 clear; it must unpack to the new defaults rather than
-        // silently disabling the fast paths.
+    fn legacy_roots_unpack_with_shadow_enabled() {
+        // A root word packed before the shadow option existed has bit 60
+        // clear; it must unpack to the default rather than silently
+        // disabling the shadow.
         let legacy = (17u64) | (256u64 << 8);
-        assert!(ListConfig::unpack(legacy).fingers);
         assert!(ListConfig::unpack(legacy).shadow);
     }
 
@@ -134,6 +112,15 @@ mod tests {
     fn retired_sorted_lookup_bit_is_ignored() {
         let c = ListConfig::new(17, 256);
         assert_eq!(ListConfig::unpack(c.pack() | 1 << 62), c);
+    }
+
+    #[test]
+    fn retired_finger_bit_is_ignored() {
+        // Bit 61 was set by pools formatted with search fingers disabled.
+        let c = ListConfig::new(17, 256);
+        assert_eq!(ListConfig::unpack(c.pack() | 1 << 61), c);
+        let c = c.without_shadow();
+        assert_eq!(ListConfig::unpack(c.pack() | 1 << 61), c);
     }
 
     #[test]

@@ -45,7 +45,6 @@
 pub mod batch;
 pub mod compact;
 pub mod config;
-pub(crate) mod finger;
 pub mod iter;
 pub mod layout;
 pub mod list;

@@ -11,7 +11,6 @@ use pmem::{CrashController, LatencyModel, PersistenceMode, Placement, PmCheckLev
 use riv::{RivPtr, RivSpace};
 
 use crate::config::{ListConfig, KEY_INF, KEY_NULL, TOMBSTONE};
-use crate::finger::FingerTable;
 use crate::layout::*;
 use crate::metrics::{StructMetricsSnapshot, StructStats};
 use crate::shadow::{IndexShadow, StructureEpoch};
@@ -29,12 +28,9 @@ pub struct UpSkipList {
     pub(crate) head: RivPtr,
     pub(crate) tail: RivPtr,
     pub(crate) epoch: AtomicU64,
-    /// Volatile per-thread search-finger cache (never persisted; see
-    /// `finger` module docs for the validation protocol).
-    pub(crate) fingers: FingerTable,
-    /// Shared volatile structure generation: bumped by splits, purges, removes and
-    /// compaction; validates both fingers and shadow regions so one store
-    /// invalidates both caches.
+    /// Shared volatile structure generation: bumped by splits, purges,
+    /// removes and compaction; validates every shadow region so one store
+    /// invalidates them all.
     pub(crate) sepoch: StructureEpoch,
     /// Volatile DRAM mirror of the upper index levels (never persisted;
     /// discarded and rebuilt on every open/recover path — see the `shadow`
@@ -197,7 +193,6 @@ impl UpSkipList {
             head: RivPtr::NULL,
             tail: RivPtr::NULL,
             epoch: AtomicU64::new(epoch),
-            fingers: FingerTable::new(),
             sepoch: StructureEpoch::new(),
             shadow: IndexShadow::new(),
             stats,
@@ -257,7 +252,6 @@ impl UpSkipList {
             alloc,
             cfg,
             epoch: AtomicU64::new(epoch),
-            fingers: FingerTable::new(),
             sepoch: StructureEpoch::new(),
             shadow: IndexShadow::new(),
             stats,
@@ -340,7 +334,7 @@ impl UpSkipList {
         self.stats.level()
     }
 
-    /// Structure-level counters: CAS retries, lock waits, splits, finger
+    /// Structure-level counters: CAS retries, lock waits, splits, shadow
     /// hits/misses, compactions, hops per level, plus the allocator's
     /// path counters (fast/slow pops, magazine hits, leases, outbox
     /// batches, heals). Also syncs the registry's `alloc.*` mirrors.
@@ -510,7 +504,7 @@ impl Reachability for UpSkipList {
     }
 
     /// Lease-log validation: is `block` the linked node owning `key`?
-    /// A read-only level descent from the head — no fingers, no locks, no
+    /// A read-only level descent from the head — no shadow, no locks, no
     /// structure counters — so stale-lease recovery costs O(log n) per
     /// listed block instead of the default bottom-level walk.
     fn is_linked(&self, key: u64, block: RivPtr) -> bool {

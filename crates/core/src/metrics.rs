@@ -1,7 +1,7 @@
 //! Structure-level observability for [`UpSkipList`](crate::UpSkipList):
 //! named counters for the events the pool-level [`pmem::Stats`] cannot see
 //! — CAS retries, node-lock acquisition failures, node splits and in-place
-//! purges, search-finger hits/misses, in-node tag hits/fallbacks,
+//! purges, index-shadow hits/misses, in-node tag hits/fallbacks,
 //! compactions, and traversal hops per level.
 //!
 //! All counters live in an [`obs::Registry`] owned by the list, so a bench
@@ -62,10 +62,6 @@ pub struct StructStats {
     /// Full nodes whose removed keys' slots were reclaimed in place of a
     /// split.
     pub(crate) node_purges: Arc<Counter>,
-    /// Traversals that adopted a search-finger hint.
-    pub(crate) finger_hits: Arc<Counter>,
-    /// Traversals whose finger slot was empty, stale, or contended.
-    pub(crate) finger_misses: Arc<Counter>,
     /// Shadow consults that resolved the upper levels from a fresh region.
     pub(crate) shadow_hits: Arc<Counter>,
     /// Shadow consults that missed (discarded, contended, stale region, or
@@ -74,7 +70,7 @@ pub struct StructStats {
     /// Full shadow image rebuilds (first descent of an epoch, retuning).
     pub(crate) shadow_rebuilds: Arc<Counter>,
     /// Structure-generation bumps (splits, purges, removes, compactions) — each
-    /// invalidates every finger and shadow region in one store.
+    /// invalidates every shadow region in one store.
     pub(crate) shadow_invalidations: Arc<Counter>,
     /// Software prefetch hints issued by the descent (feature `prefetch`).
     pub(crate) prefetch_issued: Arc<Counter>,
@@ -113,8 +109,6 @@ impl StructStats {
             lock_waits: registry.counter("list.lock_waits"),
             node_splits: registry.counter("list.node_splits"),
             node_purges: registry.counter("list.node_purges"),
-            finger_hits: registry.counter("list.finger_hits"),
-            finger_misses: registry.counter("list.finger_misses"),
             shadow_hits: registry.counter("list.shadow_hits"),
             shadow_misses: registry.counter("list.shadow_misses"),
             shadow_rebuilds: registry.counter("list.shadow_rebuilds"),
@@ -176,20 +170,6 @@ impl StructStats {
     pub(crate) fn node_purge(&self) {
         if self.enabled {
             self.node_purges.inc();
-        }
-    }
-
-    #[inline]
-    pub(crate) fn finger_hit(&self) {
-        if self.enabled {
-            self.finger_hits.inc();
-        }
-    }
-
-    #[inline]
-    pub(crate) fn finger_miss(&self) {
-        if self.enabled {
-            self.finger_misses.inc();
         }
     }
 
@@ -286,8 +266,6 @@ impl StructStats {
             lock_waits: self.lock_waits.value(),
             node_splits: self.node_splits.value(),
             node_purges: self.node_purges.value(),
-            finger_hits: self.finger_hits.value(),
-            finger_misses: self.finger_misses.value(),
             shadow_hits: self.shadow_hits.value(),
             shadow_misses: self.shadow_misses.value(),
             shadow_rebuilds: self.shadow_rebuilds.value(),
@@ -310,8 +288,6 @@ pub struct StructMetricsSnapshot {
     pub lock_waits: u64,
     pub node_splits: u64,
     pub node_purges: u64,
-    pub finger_hits: u64,
-    pub finger_misses: u64,
     pub shadow_hits: u64,
     pub shadow_misses: u64,
     pub shadow_rebuilds: u64,
@@ -335,8 +311,6 @@ impl StructMetricsSnapshot {
             lock_waits: self.lock_waits - earlier.lock_waits,
             node_splits: self.node_splits - earlier.node_splits,
             node_purges: self.node_purges - earlier.node_purges,
-            finger_hits: self.finger_hits - earlier.finger_hits,
-            finger_misses: self.finger_misses - earlier.finger_misses,
             shadow_hits: self.shadow_hits - earlier.shadow_hits,
             shadow_misses: self.shadow_misses - earlier.shadow_misses,
             shadow_rebuilds: self.shadow_rebuilds - earlier.shadow_rebuilds,
@@ -388,12 +362,10 @@ mod tests {
         let s = StructStats::new(ObsLevel::Counters);
         s.cas_retry();
         s.cas_retry();
-        s.finger_hit();
         s.hops_at(3, 7);
         s.reclaimed(2);
         let snap = s.snapshot();
         assert_eq!(snap.cas_retries, 2);
-        assert_eq!(snap.finger_hits, 1);
         assert_eq!(snap.hops_per_level[3], 7);
         assert_eq!(snap.total_hops(), 7);
         assert_eq!(snap.nodes_reclaimed, 2);

@@ -478,8 +478,8 @@ impl UpSkipList {
         self.space().fetch_add(node.add(N_SPLIT_COUNT as u32), 1);
         self.space().persist(node.add(N_SPLIT_COUNT as u32), 1);
         self.stats.node_split();
-        // One store invalidates every finger and shadow region: keys moved
-        // between nodes, so both caches' towers may now be loose bounds.
+        // One store invalidates every shadow region: keys moved between
+        // nodes, so the image's towers may now be loose bounds.
         self.invalidate_structure();
         // Erase the moved pairs from the old node (lines 265–267).
         let moved_keys: HashSet<u64> = moved.iter().map(|&(k, _)| k).collect();

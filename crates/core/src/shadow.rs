@@ -16,17 +16,16 @@
 //!   rebuilds it from the persistent levels. The bottom level remains the
 //!   sole persistent source of truth.
 //! - **Hints, not answers.** A shadow-guided descent adopts the shadow's
-//!   predecessor towers exactly like a finger jump: the start predecessor's
-//!   header is re-read and validated (epoch + immutable `keys[0]`) before
-//!   use, and the bottom-level walk plus the split-count protocol validate
+//!   predecessor towers only after the start predecessor's header is
+//!   re-read and validated (epoch + immutable `keys[0]`), and the
+//!   bottom-level walk plus the split-count protocol validate
 //!   the final answer. Link CASes made against stale shadow successors fail
 //!   harmlessly (CAS success implies adjacency) and retry through an
 //!   uncached traversal. A stale shadow can therefore only cost extra hops
 //!   or failed CASes — never a wrong result.
 //! - **One invalidation epoch.** Structural changes (splits, purges, removes,
-//!   compaction) bump the shared [`StructureEpoch`]; both search fingers
-//!   and shadow regions are validated against the same generation, so one
-//!   store invalidates both caches.
+//!   compaction) bump the shared [`StructureEpoch`]; every shadow region is
+//!   validated against that generation, so one store invalidates them all.
 //! - **Lazy regional rebuild.** The mirrored key space is divided into
 //!   regions stamped with the structure generation they were imaged at. A
 //!   consult landing in a stale region still uses it as a hint (safe, see
@@ -64,9 +63,9 @@ pub const DEFAULT_SHADOW_CAPACITY: usize = 1 << 20;
 pub const DEFAULT_SHADOW_REGIONS: usize = 64;
 
 /// The shared *structure generation*: a volatile counter bumped by every
-/// structural change (split, purge, remove, compaction). Search fingers and shadow
-/// regions both record the generation they were taken at and are treated as
-/// stale on mismatch — one store invalidates both caches.
+/// structural change (split, purge, remove, compaction). Shadow regions
+/// record the generation they were imaged at and are treated as stale on
+/// mismatch — one store invalidates them all.
 #[derive(Debug, Default)]
 pub(crate) struct StructureEpoch(AtomicU64);
 
@@ -122,7 +121,7 @@ struct ShadowImage {
 }
 
 /// Owner of the shadow image plus its tuning knobs. Lives on the list
-/// handle next to the finger table; shares its lifetime and volatility.
+/// handle; shares its lifetime and volatility.
 pub(crate) struct IndexShadow {
     image: RwLock<ShadowImage>,
     capacity: AtomicUsize,
@@ -192,8 +191,8 @@ impl UpSkipList {
         self.sepoch.current()
     }
 
-    /// Bump the shared structure generation: every outstanding finger and
-    /// every shadow region becomes stale in this one store.
+    /// Bump the shared structure generation: every shadow region becomes
+    /// stale in this one store.
     pub(crate) fn invalidate_structure(&self) {
         self.sepoch.bump();
         self.stats.shadow_invalidation();
@@ -227,7 +226,7 @@ impl UpSkipList {
         f()
     }
 
-    /// Consult the shadow for `key`: fill `preds`/`succs`/`key0s` for every
+    /// Consult the shadow for `key`: fill `preds`/`succs` for every
     /// mirrored level and return where the persistent descent may resume.
     /// `None` means miss (discarded, contended, wrong epoch, or the start
     /// predecessor failed header validation) — the caller walks from the
@@ -239,7 +238,6 @@ impl UpSkipList {
         sgen: u64,
         preds: &mut [RivPtr; MAX_HEIGHT],
         succs: &mut [RivPtr; MAX_HEIGHT],
-        key0s: &mut [u64; MAX_HEIGHT],
     ) -> Option<ShadowStart> {
         let top = self.cfg.max_height - 1;
         for attempt in 0..2 {
@@ -256,16 +254,16 @@ impl UpSkipList {
                 if img.epoch != epoch || img.min_level > top {
                     None
                 } else {
-                    Some(self.fill_from_image(&img, key, top, sgen, preds, succs, key0s))
+                    Some(self.fill_from_image(&img, key, top, sgen, preds, succs))
                 }
             };
             match filled {
                 Some((start, fresh, region)) => {
-                    // Validate exactly like a finger jump: one streamed
-                    // header line re-checks the epoch and the immutable
-                    // `keys[0]`, and hands us the split-count snapshot the
-                    // Function 9 protocol needs. The validated node must be
-                    // the one the caller will act on: for a step-in that is
+                    // Validate before use: one streamed header line
+                    // re-checks the epoch and the immutable `keys[0]`, and
+                    // hands us the split-count snapshot the Function 9
+                    // protocol needs. The validated node must be the one
+                    // the caller will act on: for a step-in that is
                     // `preds[step_level]` (the containing node), NOT the
                     // `min_level` start predecessor — the two can differ
                     // when a refresh imaged the levels at different moments,
@@ -319,7 +317,6 @@ impl UpSkipList {
     /// Fill the traversal arrays from a valid image. Returns the start
     /// position, whether the landing region was imaged at `sgen`, and the
     /// region index (for the refresh on staleness).
-    #[allow(clippy::too_many_arguments)]
     fn fill_from_image(
         &self,
         img: &ShadowImage,
@@ -328,7 +325,6 @@ impl UpSkipList {
         sgen: u64,
         preds: &mut [RivPtr; MAX_HEIGHT],
         succs: &mut [RivPtr; MAX_HEIGHT],
-        key0s: &mut [u64; MAX_HEIGHT],
     ) -> (ShadowStart, bool, usize) {
         let mut start = ShadowStart {
             low: img.min_level,
@@ -350,7 +346,6 @@ impl UpSkipList {
             let succ = v.get(pp).map(|e| e.node).unwrap_or(self.tail);
             preds[level] = pred;
             succs[level] = succ;
-            key0s[level] = pred_k0;
             if pred_k0 == key && start.step_level.is_none() {
                 start.step_level = Some(level);
             }
@@ -574,12 +569,12 @@ mod tests {
     }
 
     #[test]
-    fn split_invalidates_shadow_and_finger_in_one_store() {
+    fn split_invalidates_every_shadow_region_in_one_store() {
         let l = list(8, 4);
         for k in (10..=100u64).step_by(10) {
             l.insert(k, k);
         }
-        assert_eq!(l.get(50), Some(50)); // image + finger recorded
+        assert_eq!(l.get(50), Some(50)); // image built
         let g0 = l.structure_gen();
         // Force a split of a full node.
         for d in 1..=4u64 {
@@ -589,7 +584,7 @@ mod tests {
             l.structure_gen() > g0,
             "a split must bump the shared structure generation"
         );
-        // Both caches still give correct answers afterwards.
+        // The stale image still gives correct answers afterwards.
         for d in 0..=4u64 {
             let expect = if d == 0 { 50 } else { d };
             assert_eq!(l.get(50 + d), Some(expect));

@@ -131,38 +131,21 @@ impl UpSkipList {
         let mut recoveries_done = 0u32;
         'outer: loop {
             let epoch = self.epoch();
-            // One structure-generation load validates the finger *and* the
-            // shadow region for this whole descent: a concurrent split or
-            // remove invalidates both caches with its single bump.
+            // One structure-generation load validates the shadow region for
+            // this whole descent: a concurrent split or remove invalidates it
+            // with its single bump.
             let sgen = self.structure_gen();
-            let hint = if self.cfg.fingers {
-                let h = self.finger_load(epoch, sgen);
-                if h.is_none() {
-                    self.stats.finger_miss();
-                }
-                h
-            } else {
-                None
-            };
-            let mut hint_live = hint.is_some();
-            let mut hint_used = false;
             let mut preds = [RivPtr::NULL; MAX_HEIGHT];
             let mut succs = [RivPtr::NULL; MAX_HEIGHT];
-            let mut key0s = [KEY_NULL; MAX_HEIGHT];
             let mut split_count = 0u64;
             let mut pred = self.head;
-            let mut pred_k0 = KEY_NULL;
             // Whether the header read that supplied `split_count` showed
             // `pred` write-locked (mid-split): such a node is not probed.
             let mut pred_locked = false;
             let mut start_level = top;
-            // Every return: remember the descent as this thread's finger,
-            // hand the arrays over.
+            // Every return hands the arrays over.
             macro_rules! finish {
                 ($level:expr, $key_index:expr) => {{
-                    if self.cfg.fingers {
-                        self.finger_record(epoch, sgen, $level, &preds, &key0s);
-                    }
                     return Traversal {
                         preds,
                         succs,
@@ -179,12 +162,9 @@ impl UpSkipList {
             // stays the sole persistent source of truth — the walk below
             // revalidates everything the shadow claimed.
             if cached && self.cfg.shadow && top >= 1 {
-                if let Some(s) =
-                    self.shadow_position(key, epoch, sgen, &mut preds, &mut succs, &mut key0s)
-                {
+                if let Some(s) = self.shadow_position(key, epoch, sgen, &mut preds, &mut succs) {
                     split_count = s.split_count;
                     pred = s.pred;
-                    pred_k0 = s.pred_k0;
                     pred_locked = s.write_locked;
                     if let Some(lf) = s.step_level {
                         // The shadow landed inside the containing node;
@@ -205,47 +185,6 @@ impl UpSkipList {
                 }
             }
             for level in (0..=start_level).rev() {
-                // Finger jump: adopt the remembered predecessor for this
-                // level when it advances past the inherited one. The jump
-                // target was reached at this level by the recording descent
-                // and nodes are never unlinked mid-epoch, so it is still
-                // linked here; re-reading its header keeps the split-count
-                // snapshot protocol intact and lets a stale epoch disqualify
-                // the hint (normal descent claims such nodes with full
-                // pred/succ context).
-                if hint_live {
-                    let f = hint.as_ref().expect("hint_live implies hint");
-                    if level >= f.low_level {
-                        let hp = f.preds[level];
-                        let hk0 = f.key0s[level];
-                        if hk0 <= key && hk0 > pred_k0 && hp != self.head {
-                            let hdr = self.read_header(hp);
-                            if hdr[crate::layout::N_EPOCH as usize] == epoch
-                                && hdr[crate::layout::N_KEYS as usize] == hk0
-                            {
-                                if !hint_used {
-                                    hint_used = true;
-                                    self.stats.finger_hit();
-                                }
-                                split_count = hdr[crate::layout::N_SPLIT_COUNT as usize];
-                                pred_locked =
-                                    rwlock::is_write_locked(hdr[crate::layout::N_LOCK as usize]);
-                                pred = hp;
-                                pred_k0 = hk0;
-                                if hk0 == key {
-                                    // Jumped straight into the containing
-                                    // node — mirror the step-in return.
-                                    preds[level] = pred;
-                                    succs[level] = self.next(pred, level);
-                                    key0s[level] = hk0;
-                                    finish!(level, 0);
-                                }
-                            } else {
-                                hint_live = false;
-                            }
-                        }
-                    }
-                }
                 // Probe-on-arrival (tagged lists, bottom level): a node is
                 // asked for the key through its tags *before* its `next[0]`
                 // is read. A key read in a node and validated by that
@@ -263,7 +202,6 @@ impl UpSkipList {
                 if probing && !pred_locked && pred != self.head {
                     if let Some(i) = self.probe_tags(pred, key) {
                         preds[0] = pred;
-                        key0s[0] = pred_k0;
                         finish!(0, i);
                     }
                 }
@@ -293,13 +231,11 @@ impl UpSkipList {
                     split_count = hdr[crate::layout::N_SPLIT_COUNT as usize];
                     pred_locked = rwlock::is_write_locked(hdr[crate::layout::N_LOCK as usize]);
                     pred = cur;
-                    pred_k0 = k0;
                     hops += 1;
                     if probing && k0 != key && !pred_locked {
                         if let Some(i) = self.probe_tags(pred, key) {
                             self.stats.hops_at(0, hops);
                             preds[0] = pred;
-                            key0s[0] = k0;
                             finish!(0, i);
                         }
                     }
@@ -310,14 +246,12 @@ impl UpSkipList {
                         self.stats.hops_at(level, hops);
                         preds[level] = pred;
                         succs[level] = cur;
-                        key0s[level] = k0;
                         finish!(level, 0);
                     }
                 }
                 self.stats.hops_at(level, hops);
                 preds[level] = pred;
                 succs[level] = cur;
-                key0s[level] = pred_k0;
                 if level > 0 {
                     // Descending: the next pointer one level down is the
                     // next word read off this predecessor.

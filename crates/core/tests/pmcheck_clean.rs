@@ -144,8 +144,7 @@ fn warm_shadow_read_path_makes_zero_pmem_writes() {
         for k in 1..=1_000u64 {
             list.insert(k, k);
         }
-        // Warm pass: builds the image and fills the tags (pure reads) and
-        // hits the fingers.
+        // Warm pass: builds the image and fills the tags (pure reads).
         for k in 1..=1_000u64 {
             list.get(k);
         }

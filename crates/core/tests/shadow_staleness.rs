@@ -386,9 +386,8 @@ fn a_stale_bottom_level_image_costs_a_hop_never_a_key() {
         }
         let nodes = bottom_level(&list);
         assert!(nodes.len() >= imaged.len() * 3 / 2, "nodes must split");
-        // Each second remove below follows its first remove's epoch bump,
-        // so no finger helps it: it starts on the imaged node before its
-        // key and hops at least once to a key that lives in a newer node.
+        // Each second remove below follows its first remove's epoch bump:
+        // it starts on the imaged node before its key and hops at least once to a key that lives in a newer node.
         let node_of: BTreeMap<u64, u64> = nodes
             .iter()
             .flat_map(|(&k0, keys)| keys.iter().map(move |&k| (k, k0)))

@@ -24,7 +24,7 @@
 //! | PMS08 | Release-published atomic loaded `Relaxed` in a persist-affecting function |
 //! | PMS09 | structure mutation with no reachable `StructureEpoch` bump before unlock |
 //! | PMS10 | inconsistent lock-acquisition order across `crates/service` |
-//! | PMS11 | volatile cache (finger/magazine) written before the publish CAS |
+//! | PMS11 | volatile cache (allocator magazine) written before the publish CAS |
 //! | PMS12 | explicit fence inside an open `FlushEpoch` (the prepare phase must defer to the sweep) |
 //!
 //! PMS01/02/03/04 apply to non-test code only (crash tests legitimately

@@ -12,15 +12,14 @@
 //! * **PMS09** — a persistent-structure mutation (tombstoning `update`,
 //!   split-counter bump) reaches an unlock with no `StructureEpoch` bump
 //!   in between (directly or through a callee): concurrent readers may
-//!   keep navigating stale shadow/finger hints licensed by the old epoch.
+//!   keep navigating stale shadow hints licensed by the old epoch.
 //!   Scope: `crates/core`.
 //! * **PMS10** — lock-hierarchy lint over the `service` crate: the
 //!   per-function order of distinct `.lock()` acquisitions must form an
 //!   acyclic global graph.
-//! * **PMS11** — a volatile-cache write (search-finger record, allocator
-//!   magazine refill) positioned before a publish CAS in the same
-//!   function: the DRAM cache would claim state the persistent structure
-//!   has not committed yet. Intra-procedural on purpose — propagating the
+//! * **PMS11** — a volatile-cache write (allocator magazine refill)
+//!   positioned before a publish CAS in the same function: the DRAM cache
+//!   would claim state the persistent structure has not committed yet. Intra-procedural on purpose — propagating the
 //!   marker through callees would poison every `traverse()` caller.
 //! * **PMS12** — a fence (`.persist(`/`sfence(`/`.commit(`, or a call that
 //!   transitively reaches one) inside an open `FlushEpoch` prepare window
@@ -149,7 +148,7 @@ fn pms09(a: &Analysis<'_>, out: &mut Vec<Finding>) {
                     function: f.name.clone(),
                     message: format!(
                         "persistent-structure mutation reaches the unlock on line {} with \
-                         no StructureEpoch bump in between — stale shadow/finger hints \
+                         no StructureEpoch bump in between — stale shadow hints \
                          stay licensed for concurrent readers",
                         info.lines.line(u)
                     ),

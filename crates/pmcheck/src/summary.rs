@@ -45,8 +45,8 @@ pub enum EventKind {
     /// A persistent-structure mutation marker for PMS09: `update(...,
     /// TOMBSTONE)` or a pmem `fetch_add` over the node split counter.
     StructMutation,
-    /// A volatile-cache write marker for PMS11 (finger table record,
-    /// allocator magazine refill).
+    /// A volatile-cache write marker for PMS11 (allocator magazine
+    /// refill).
     CacheWrite,
     /// `<field>.lock()` on a std mutex (emitted for `crates/service/`
     /// files only — the PMS10 lock-hierarchy scope).
@@ -297,8 +297,8 @@ pub fn summarize_file(file_idx: usize, rel: &str, src: &str) -> (FileInfo, Vec<F
             });
         }
         // Volatile-cache write markers (PMS11): DRAM state that mirrors
-        // persistent structure — search fingers, allocator magazines.
-        for t in ["finger_record(", "magazine.push(", "magazine.extend("] {
+        // persistent structure — allocator magazines.
+        for t in ["magazine.push(", "magazine.extend("] {
             for p in occurrences(&stripped, body.clone(), t) {
                 events.push(Event {
                     at: p,

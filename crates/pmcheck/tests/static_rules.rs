@@ -298,7 +298,7 @@ fn pms10_conflicting_lock_order_is_caught_in_both_witnesses() {
 fn pms11_volatile_cache_write_before_publish_cas_is_caught() {
     let src = "impl L {\n\
                \x20   fn link(&self, p: &pmem::Pool, node: u64, key: u64) {\n\
-               \x20       self.finger_record(node, key);\n\
+               \x20       self.magazine.push(node);\n\
                \x20       let _ = p.cas(8, 0, 64);\n\
                \x20       p.persist(8, 1);\n\
                \x20   }\n\
@@ -307,14 +307,14 @@ fn pms11_volatile_cache_write_before_publish_cas_is_caught() {
     assert_eq!(
         h,
         vec![("PMS11".into(), "crates/core/src/demo.rs".into(), 3)],
-        "finger recorded before the persistent commit point"
+        "magazine refilled before the persistent commit point"
     );
     // Cache updated after the publish: clean.
     let fixed = "impl L {\n\
                  \x20   fn link(&self, p: &pmem::Pool, node: u64, key: u64) {\n\
                  \x20       let _ = p.cas(8, 0, 64);\n\
                  \x20       p.persist(8, 1);\n\
-                 \x20       self.finger_record(node, key);\n\
+                 \x20       self.magazine.push(node);\n\
                  \x20   }\n\
                  }\n";
     assert!(source_hits(&[("crates/core/src/demo.rs", fixed)]).is_empty());

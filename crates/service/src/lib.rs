@@ -87,8 +87,8 @@ fn check_kv(k: u64, v: u64) {
 
 /// Worker thread ids start past the range bench drivers typically use, so
 /// a driver thread and a shard worker don't share allocator caches or
-/// finger slots (a collision is harmless for correctness, but muddies
-/// per-thread perf attribution).
+/// per-thread buffers (a collision is harmless for correctness, but
+/// muddies per-thread perf attribution).
 const WORKER_ID_BASE: usize = 64;
 
 /// The serving layer: router + shards + workers. Create with
