@@ -38,7 +38,7 @@ fn bench_arenas(c: &mut Criterion) {
     let mut group = c.benchmark_group("arenas");
     group.sample_size(10);
     for num_arenas in [1usize, 2, 8] {
-        let alloc = build(num_arenas, 0);
+        let alloc = build(num_arenas, 1);
         // Contended alloc/free pairs across 4 threads.
         group.bench_with_input(
             BenchmarkId::new("contended_alloc_free", num_arenas),
@@ -68,13 +68,14 @@ fn bench_arenas(c: &mut Criterion) {
     group.finish();
 }
 
-/// Lease fast path ablation: the same contended alloc/free-pair traffic
-/// with the per-thread magazine off (one persisted log per pop) vs on
-/// (one lease log per M pops, frees batched through the outbox).
+/// Lease size ablation: the same contended alloc/free-pair traffic with
+/// one-block leases (one persisted log per pop, the thesis's protocol) vs
+/// 8-block leases (one lease log per 8 pops, frees batched through the
+/// outbox).
 fn bench_magazine(c: &mut Criterion) {
     let mut group = c.benchmark_group("magazine");
     group.sample_size(10);
-    for magazine in [0usize, 8] {
+    for magazine in [1usize, 8] {
         let alloc = build(8, magazine);
         group.bench_with_input(
             BenchmarkId::new("contended_alloc_free", magazine),

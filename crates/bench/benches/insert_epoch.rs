@@ -31,7 +31,6 @@ fn fresh_list() -> Arc<UpSkipList> {
         &d,
         bench::UpSkipListOpts {
             keys_per_node: 1,
-            magazine: Some(8),
             ..bench::UpSkipListOpts::default()
         },
     )

@@ -1,18 +1,17 @@
-//! E13 — allocation fast path and fence budget: fences per operation with
-//! the per-thread lease magazine off vs on.
+//! E13 — allocation fast path and fence budget: fences per operation on
+//! the list's own allocator configuration (8-block leases).
 //!
 //! Inserts run at `keys_per_node = 1`, so every insert allocates and
 //! publishes a fresh node through the prepare-then-publish flush epoch:
 //! one coalesced pre-publish sweep fence, plus a lease-log fence only on
-//! magazine misses. The budget that gates CI is therefore *absolute* —
-//! `--gate` fails if the magazine-on run spends more than `--gate-fences`
-//! (default 2.0) fences per insert, or if the dynamic detector's PMD02
-//! probe catches a redundant (empty) fence on the insert path. The off/on
-//! reduction is still reported for trend eyeballing.
+//! magazine misses. The budget that gates CI is *absolute* — `--gate`
+//! fails if the run spends more than `--gate-fences` (default 2.0) fences
+//! per insert, or if the dynamic detector's PMD02 probe catches a
+//! redundant (empty) fence on the insert path.
 //!
 //! ```text
 //! cargo run --release -p bench --bin allocator -- \
-//!     --records 20000 --magazine 8 --json results/BENCH_allocator.json
+//!     --records 20000 --json results/BENCH_allocator.json
 //! cargo run --release -p bench --bin allocator -- --smoke --gate   # CI
 //! ```
 //!
@@ -29,6 +28,9 @@ use obs::ObsLevel;
 use pmem::stats::OP_KINDS;
 use pmem::{op_tag, OpKind, StatsSnapshot};
 use upskiplist::UpSkipList;
+
+/// Row label of every figure this experiment reports.
+const ROW: &str = "upskiplist";
 
 /// splitmix64 — deterministic key shuffle without the rand crate.
 fn mix64(mut x: u64) -> u64 {
@@ -59,24 +61,20 @@ impl RunOut {
     }
 }
 
-fn opts(magazine: usize) -> UpSkipListOpts {
-    UpSkipListOpts {
-        keys_per_node: 1,
-        magazine: Some(magazine),
-        ..UpSkipListOpts::default()
-    }
+fn opts() -> UpSkipListOpts {
+    UpSkipListOpts::keys_per_node(1)
 }
 
 /// Insert `records` distinct keys in a mixed order across `threads`
 /// registered threads (every insert is a fresh node at keys_per_node = 1),
 /// then a tagged get pass and a tagged remove pass over the same keys;
 /// return per-op pmem costs.
-fn run_one(magazine: usize, records: u64, threads: usize) -> RunOut {
+fn run_one(records: u64, threads: usize) -> RunOut {
     let d = Deployment {
         obs: ObsLevel::Counters,
         ..Deployment::simple(records)
     };
-    let list: Arc<UpSkipList> = build_upskiplist(&d, opts(magazine));
+    let list: Arc<UpSkipList> = build_upskiplist(&d, opts());
     let before = list.space().stats_by_op();
     let each_phase = |kind: OpKind| {
         std::thread::scope(|s| {
@@ -138,7 +136,6 @@ fn main() {
     let smoke = args.flag("smoke");
     let records = args.u64("records", if smoke { 8_000 } else { 50_000 });
     let threads = args.usize("threads", if smoke { 2 } else { 4 });
-    let magazine = args.usize("magazine", 8);
     let gate = args.flag("gate");
     let gate_fences: f64 = args
         .get("gate-fences")
@@ -148,72 +145,48 @@ fn main() {
     let mut report = MetricsReport::new("allocator");
     report.meta("records", records.to_string());
     report.meta("threads", threads.to_string());
-    report.meta("magazine", magazine.to_string());
 
-    let off = run_one(0, records, threads);
-    let on = run_one(magazine, records, threads);
+    let r = run_one(records, threads);
 
-    // PMD02 probe: single-threaded Track-level run per configuration; an
-    // empty fence attributed to insert means a path inside the prepare
-    // window still fences individually.
+    // PMD02 probe: a single-threaded Track-level run; an empty fence
+    // attributed to insert means a path inside the prepare window still
+    // fences individually.
     let probe_records = (records / 10).max(500);
-    let mut insert_pmd02 = 0u64;
-    for (name, m) in [("magazine_off", 0), ("magazine_on", magazine)] {
-        let (pmd02, pops) = pmd02_probe(opts(m), probe_records);
-        push_pmd02_rows(&mut report, name, &pmd02, &pops);
-        if name == "magazine_on" {
-            insert_pmd02 = pmd02[OpKind::Insert as usize];
-        }
-        eprintln!(
-            "{name}: pmd02 redundant fences — insert {} get {} remove {} \
-             (probe of {probe_records} records)",
-            pmd02[OpKind::Insert as usize],
-            pmd02[OpKind::Get as usize],
-            pmd02[OpKind::Remove as usize],
-        );
-    }
-
-    for (name, r) in [("magazine_off", &off), ("magazine_on", &on)] {
-        for kind in [OpKind::Insert, OpKind::Get, OpKind::Remove] {
-            let (fences, flushes) = r.per(kind);
-            let op = kind.name();
-            report.push(name, op, "fences_per_op", fences);
-            report.push(name, op, "flushes_per_op", flushes);
-        }
-        // Back-compat aliases consumed by the report tooling.
-        report.push(name, "insert", "fences_per_insert", r.per(OpKind::Insert).0);
-        report.push(
-            name,
-            "insert",
-            "flushes_per_insert",
-            r.per(OpKind::Insert).1,
-        );
-        report.push(name, "alloc", "leases", r.leases as f64);
-        report.push(name, "alloc", "magazine_hits", r.magazine_hits as f64);
-        report.push(name, "alloc", "fast_allocs", r.fast as f64);
-        report.push(name, "alloc", "slow_allocs", r.slow as f64);
-        let (gf, _) = r.per(OpKind::Get);
-        let (rf, _) = r.per(OpKind::Remove);
-        eprintln!(
-            "{name}: {:.3} fences/insert, {:.3} flushes/insert, \
-             {gf:.3} fences/get, {rf:.3} fences/remove \
-             (leases {}, magazine hits {}, fast {}, slow {})",
-            r.per(OpKind::Insert).0,
-            r.per(OpKind::Insert).1,
-            r.leases,
-            r.magazine_hits,
-            r.fast,
-            r.slow
-        );
-    }
-    let reduction = 1.0 - on.fences_per_insert() / off.fences_per_insert();
-    report.push("magazine_on", "insert", "fence_reduction", reduction);
+    let (pmd02, pops) = pmd02_probe(opts(), probe_records);
+    push_pmd02_rows(&mut report, ROW, &pmd02, &pops);
+    let insert_pmd02 = pmd02[OpKind::Insert as usize];
     eprintln!(
-        "allocator: magazine {magazine} cuts fences per insert by {:.1} % \
-         ({:.3} -> {:.3}); budget {gate_fences:.1}",
-        reduction * 100.0,
-        off.fences_per_insert(),
-        on.fences_per_insert()
+        "allocator: pmd02 redundant fences — insert {insert_pmd02} get {} remove {} \
+         (probe of {probe_records} records)",
+        pmd02[OpKind::Get as usize],
+        pmd02[OpKind::Remove as usize],
+    );
+
+    for kind in [OpKind::Insert, OpKind::Get, OpKind::Remove] {
+        let (fences, flushes) = r.per(kind);
+        let op = kind.name();
+        report.push(ROW, op, "fences_per_op", fences);
+        report.push(ROW, op, "flushes_per_op", flushes);
+    }
+    // Back-compat aliases consumed by the report tooling.
+    report.push(ROW, "insert", "fences_per_insert", r.per(OpKind::Insert).0);
+    report.push(ROW, "insert", "flushes_per_insert", r.per(OpKind::Insert).1);
+    report.push(ROW, "alloc", "leases", r.leases as f64);
+    report.push(ROW, "alloc", "magazine_hits", r.magazine_hits as f64);
+    report.push(ROW, "alloc", "fast_allocs", r.fast as f64);
+    report.push(ROW, "alloc", "slow_allocs", r.slow as f64);
+    let (gf, _) = r.per(OpKind::Get);
+    let (rf, _) = r.per(OpKind::Remove);
+    eprintln!(
+        "allocator: {:.3} fences/insert (budget {gate_fences:.1}), {:.3} flushes/insert, \
+         {gf:.3} fences/get, {rf:.3} fences/remove \
+         (leases {}, magazine hits {}, fast {}, slow {})",
+        r.fences_per_insert(),
+        r.per(OpKind::Insert).1,
+        r.leases,
+        r.magazine_hits,
+        r.fast,
+        r.slow
     );
 
     print!("{}", report.to_csv());
@@ -226,11 +199,11 @@ fn main() {
 
     if gate {
         let mut fail = false;
-        if on.fences_per_insert() > gate_fences {
+        if r.fences_per_insert() > gate_fences {
             eprintln!(
                 "allocator: FAIL — {:.3} fences/insert over the absolute \
                  {gate_fences} budget",
-                on.fences_per_insert()
+                r.fences_per_insert()
             );
             fail = true;
         }

@@ -23,7 +23,9 @@
 //! The skip-list rows also count node purges (full nodes that reclaimed
 //! their removed keys' slots instead of splitting); a sweep of the
 //! `upskiplist` subject that ran none exits non-zero, since no crash point
-//! can then have landed inside one.
+//! can then have landed inside one. The allocator rows count leases the
+//! same way: `pmalloc` (one-block leases) or `pmalloc-mag` (8-block
+//! leases) finishing with none exits non-zero.
 
 use bench::args::Args;
 use bench::sweep::{
@@ -73,9 +75,10 @@ fn main() {
                 &|seed| SkipListSubject::with_node_size(seed, ops, keys_per_node),
                 &cfg,
             ),
+            // One-block leases: the thesis's per-pop protocol.
             "pmalloc" => sweep("pmalloc", &|seed| AllocSubject::new(seed, ops), &cfg),
-            // Lease fast path on: crash points land inside lease
-            // acquisition, mid-magazine runs, and outbox flushes.
+            // 8-block leases: crash points land inside lease acquisition,
+            // mid-magazine runs, and outbox flushes.
             "pmalloc-mag" => sweep(
                 "pmalloc-mag",
                 &|seed| AllocSubject::with_magazine(seed, ops),
@@ -88,10 +91,10 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let purges = if out.name == "upskiplist" {
-            format!("  {:>4} node purges", out.purges)
-        } else {
-            String::new()
+        let purges = match out.name {
+            "upskiplist" => format!("  {:>4} node purges", out.purges),
+            "pmalloc" | "pmalloc-mag" => format!("  {:>4} leases", out.leases),
+            _ => String::new(),
         };
         if pmcheck {
             println!(
@@ -157,6 +160,16 @@ fn main() {
     {
         eprintln!(
             "crash_sweep: the upskiplist subject never purged a node — no crash point reached one"
+        );
+        std::process::exit(1);
+    }
+    if let Some(o) = outcomes
+        .iter()
+        .find(|o| matches!(o.name, "pmalloc" | "pmalloc-mag") && o.leases == 0)
+    {
+        eprintln!(
+            "crash_sweep: the {} subject never completed a lease — no crash point reached one",
+            o.name
         );
         std::process::exit(1);
     }

@@ -190,15 +190,8 @@ pub struct UpSkipListOpts {
     /// DRAM index shadow (the traversal experiment toggles this against
     /// the persistent descent from the head).
     pub shadow: bool,
-    /// Shadow entry budget across mirrored levels (0 = library default).
-    pub shadow_capacity: usize,
     /// Random write-back: evict one in N dirty lines (0 = off).
     pub evict_one_in: u32,
-    /// Per-thread allocator magazine capacity override. `None` keeps
-    /// [`ListBuilder`]'s default (the single authoritative source);
-    /// `Some(0)` forces one persisted log per pop — the allocator
-    /// experiment sweeps this explicitly.
-    pub magazine: Option<usize>,
 }
 
 impl Default for UpSkipListOpts {
@@ -206,9 +199,7 @@ impl Default for UpSkipListOpts {
         Self {
             keys_per_node: 16,
             shadow: true,
-            shadow_capacity: 0,
             evict_one_in: 0,
-            magazine: None,
         }
     }
 }
@@ -239,14 +230,7 @@ pub fn build_upskiplist_at(
     cfg.shadow = opts.shadow;
     let mut b = sized_builder(d, cfg, opts.evict_one_in);
     b.home_node = home_node;
-    if let Some(m) = opts.magazine {
-        b.magazine = m;
-    }
-    let list = b.create();
-    if opts.shadow_capacity > 0 {
-        list.set_shadow_tuning(opts.shadow_capacity, upskiplist::DEFAULT_SHADOW_REGIONS);
-    }
-    list
+    b.create()
 }
 
 /// One UPSkipList per shard, shard `i`'s pool homed on node `i % nodes`
@@ -303,8 +287,6 @@ fn sized_builder(d: &Deployment, cfg: ListConfig, evict_one_in: u32) -> ListBuil
         blocks_per_chunk,
         obs: d.obs,
         check: pmem::PmCheckLevel::Off,
-        // magazine (and any future allocator knob) comes from the builder's
-        // own default — `UpSkipListOpts` overrides it explicitly when set.
         ..ListBuilder::default()
     }
 }

@@ -63,6 +63,11 @@ pub trait CrashSubject {
     fn purges(&self) -> u64 {
         0
     }
+    /// Leases the subject's allocator completed so far (the allocator
+    /// subjects only; 0 for every other subject).
+    fn leases(&self) -> u64 {
+        0
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -263,14 +268,16 @@ pub struct AllocSubject {
 }
 
 impl AllocSubject {
+    /// One-block leases (`AllocConfig::small`): every allocation logs and
+    /// pops on its own, the thesis's per-pop protocol.
     pub fn new(seed: u64, ops: u64) -> Self {
         Self::build(seed, ops, pmalloc::AllocConfig::small())
     }
 
-    /// The lease fast path under crash injection: the same workload runs
-    /// through the per-thread magazine and free outbox, so evenly spread
-    /// crash points land inside lease acquisition (log write, multi-pop
-    /// CAS, stamping), mid-magazine (between leases), and outbox flushes.
+    /// 8-block leases: the same workload runs through the per-thread
+    /// magazine and free outbox, so evenly spread crash points land inside
+    /// lease acquisition (log write, multi-pop CAS, stamping),
+    /// mid-magazine (between leases), and outbox flushes.
     pub fn with_magazine(seed: u64, ops: u64) -> Self {
         Self::build(seed, ops, pmalloc::AllocConfig::small_magazine(8))
     }
@@ -305,6 +312,10 @@ impl CrashSubject for AllocSubject {
         self.alloc.space().pools().to_vec()
     }
 
+    fn leases(&self) -> u64 {
+        self.alloc.counters().leases
+    }
+
     fn workload(&mut self) {
         let mut rng = StdRng::seed_from_u64(self.seed);
         for i in 0..self.ops {
@@ -316,8 +327,7 @@ impl CrashSubject for AllocSubject {
             } else {
                 let idx = rng.gen_range(0..self.held.len());
                 let b = self.held.swap_remove(idx);
-                // With the magazine configured this batches through the
-                // outbox; with it off it is the eager free.
+                // Batches through the outbox (one block per flush at M = 1).
                 self.alloc.free_deferred(self.epoch, 0, b);
             }
         }
@@ -612,6 +622,8 @@ thread_local! {
     /// Subject purges tallied the same way; drained into
     /// [`SweepOutcome::purges`].
     static PURGES: Cell<u64> = const { Cell::new(0) };
+    /// Subject leases, drained into [`SweepOutcome::leases`].
+    static LEASES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Run one sweep state to completion. Returns `Err(reason)` on any
@@ -644,6 +656,7 @@ pub fn run_point<S: CrashSubject>(
     }
     let result = drive_point(&mut s, crash_after, seed, plan, nested);
     PURGES.with(|p| p.set(p.get() + s.purges()));
+    LEASES.with(|l| l.set(l.get() + s.leases()));
     if !pmcheck {
         return result;
     }
@@ -821,6 +834,9 @@ pub struct SweepOutcome {
     /// Node purges the subject ran across all states (skip list only): a
     /// sweep with none never crashed inside one.
     pub purges: u64,
+    /// Leases the subject completed across all states (allocator subjects
+    /// only): a sweep with none never crashed inside the lease path.
+    pub leases: u64,
 }
 
 /// Walk the full grid for one subject; failing states are minimized and
@@ -837,9 +853,11 @@ pub fn sweep<S: CrashSubject>(
         failures: Vec::new(),
         advisories: 0,
         purges: 0,
+        leases: 0,
     };
     ADVISORIES.with(|a| a.set(0));
     PURGES.with(|p| p.set(0));
+    LEASES.with(|l| l.set(0));
     for &seed in &cfg.seeds {
         let total = calibrate(mk, seed);
         let step = (total / (cfg.points as u64 + 1)).max(1);
@@ -866,6 +884,7 @@ pub fn sweep<S: CrashSubject>(
     }
     out.advisories = ADVISORIES.with(|a| a.take());
     out.purges = PURGES.with(|p| p.take());
+    out.leases = LEASES.with(|l| l.take());
     out.fired = out.states;
     out
 }
@@ -884,6 +903,7 @@ pub fn sweep_epoch_points(cfg: &SweepConfig, keys_per_node: usize) -> SweepOutco
         failures: Vec::new(),
         advisories: 0,
         purges: 0,
+        leases: 0,
     };
     PURGES.with(|p| p.set(0));
     let step = (cfg.ops / (cfg.points as u64 + 1)).max(1);
@@ -975,6 +995,7 @@ mod tests {
         let ops = cfg.ops;
         let out = sweep("pmalloc", &|seed| AllocSubject::new(seed, ops), &cfg);
         assert!(out.failures.is_empty(), "{:?}", out.failures);
+        assert!(out.leases > 0, "no state completed a lease");
     }
 
     #[test]
@@ -988,6 +1009,7 @@ mod tests {
             &cfg,
         );
         assert!(out.failures.is_empty(), "{:?}", out.failures);
+        assert!(out.leases > 0, "no state completed a lease");
     }
 
     #[test]

@@ -56,6 +56,11 @@ impl std::fmt::Debug for UpSkipList {
     }
 }
 
+/// Blocks per allocator lease (`AllocConfig::magazine`). One lease-log
+/// fence per 8 allocations is what keeps a fresh-node insert under E13's
+/// budget of 2.0 fences.
+const LEASE_BLOCKS: usize = 8;
+
 /// Builder for a complete simulated deployment: pools, allocator, list.
 #[derive(Debug, Clone)]
 pub struct ListBuilder {
@@ -79,10 +84,6 @@ pub struct ListBuilder {
     pub num_arenas: usize,
     /// Blocks carved per chunk (the thesis uses 4 MiB chunks).
     pub blocks_per_chunk: u64,
-    /// Per-thread DRAM magazine capacity for the allocator's lease fast
-    /// path (0 = one persisted log per pop, the thesis's Function 4).
-    /// Clamped to [`pmalloc::LEASE_MAX_BLOCKS`].
-    pub magazine: usize,
     /// Observability level for the pools and the structure counters
     /// (`Off` for throughput benchmarks — the counters are shared atomics).
     pub obs: ObsLevel,
@@ -104,7 +105,6 @@ impl Default for ListBuilder {
             evict_one_in: 0,
             num_arenas: 4,
             blocks_per_chunk: 64,
-            magazine: 8,
             obs: ObsLevel::Counters,
             check: PmCheckLevel::Off,
         }
@@ -128,7 +128,7 @@ impl ListBuilder {
             num_arenas: self.num_arenas,
             max_chunks: u16::MAX,
             root_words: ROOT_WORDS,
-            magazine: self.magazine.min(pmalloc::LEASE_MAX_BLOCKS),
+            magazine: LEASE_BLOCKS,
         }
     }
 
@@ -201,10 +201,10 @@ impl UpSkipList {
         // to it at every level. Each sentinel is persisted before the next
         // allocator publish so formatting obeys the same write → persist →
         // publish discipline pmcheck enforces on normal operation.
-        let tail = list.alloc_block(RivPtr::NULL, KEY_INF);
+        let tail = list.alloc_block();
         list.init_sentinel(tail, KEY_INF);
         list.space().persist(tail, node_words(&cfg));
-        let head = list.alloc_block(RivPtr::NULL, KEY_NULL);
+        let head = list.alloc_block();
         list.init_sentinel(head, KEY_NULL);
         for level in 0..cfg.max_height {
             list.space()
@@ -419,9 +419,9 @@ impl UpSkipList {
 
     /// Allocate a block for a new node (the pop half of Function 4's
     /// `MakeLinkedObject`; initialization is the caller's job).
-    pub(crate) fn alloc_block(&self, pred: RivPtr, first_key: u64) -> RivPtr {
+    pub(crate) fn alloc_block(&self) -> RivPtr {
         self.alloc
-            .alloc(self.epoch(), self.local_pool(), pred, first_key, self)
+            .alloc(self.epoch(), self.local_pool(), RivPtr::NULL, 0, self)
     }
 
     /// Initialize a freshly popped block as a node holding `kvs` (remaining
@@ -469,44 +469,16 @@ impl UpSkipList {
     }
 }
 
-/// Navigation callback for stale allocation logs (Function 3 lines 15–22):
-/// walk the bottom level from the logged predecessor and decide whether the
-/// logged block completed its link-in.
+/// Navigation callback for stale lease logs (Function 3 lines 15–22):
+/// decide whether a logged block completed its link-in.
 impl Reachability for UpSkipList {
-    fn is_reachable(&self, pred: RivPtr, key: u64, block: RivPtr) -> bool {
-        let start = if pred.is_null() || self.space().read(pred.add(N_KIND as u32)) != KIND_NODE {
-            self.head
-        } else {
-            pred
-        };
-        let mut cur = start;
-        let mut steps = 0u64;
-        loop {
-            if cur == block && self.key0(cur) == key {
-                return true;
-            }
-            if cur == self.tail || self.key0(cur) > key {
-                return false;
-            }
-            cur = self.next(cur, 0);
-            if cur.is_null() {
-                return false;
-            }
-            steps += 1;
-            if steps > 100_000_000 {
-                panic!("is_reachable: bottom level does not terminate");
-            }
-        }
-    }
-
     fn node_first_key(&self, block: RivPtr) -> u64 {
         self.key0(block)
     }
 
-    /// Lease-log validation: is `block` the linked node owning `key`?
-    /// A read-only level descent from the head — no shadow, no locks, no
-    /// structure counters — so stale-lease recovery costs O(log n) per
-    /// listed block instead of the default bottom-level walk.
+    /// Is `block` the linked node owning `key`? A read-only level descent
+    /// from the head — no shadow, no locks, no structure counters — so
+    /// stale-lease recovery costs O(log n) per listed block.
     fn is_linked(&self, key: u64, block: RivPtr) -> bool {
         let mut cur = self.head;
         for level in (0..self.cfg.max_height).rev() {

@@ -72,7 +72,7 @@ pub struct StructStats {
     /// Structure-generation bumps (splits, purges, removes, compactions) — each
     /// invalidates every shadow region in one store.
     pub(crate) shadow_invalidations: Arc<Counter>,
-    /// Software prefetch hints issued by the descent (feature `prefetch`).
+    /// Software prefetch hints issued by the descent.
     pub(crate) prefetch_issued: Arc<Counter>,
     /// In-node searches answered by a tag-steered key-word read.
     pub(crate) tag_hits: Arc<Counter>,

@@ -215,7 +215,7 @@ impl UpSkipList {
         let pred = preds[0];
         let succ0 = succs[0];
         let ep = pmem::FlushEpoch::open();
-        let block = self.alloc_block(pred, key);
+        let block = self.alloc_block();
         self.init_node(block, height, &[(key, value)]);
         self.populate_next_pointers(succs, block, height);
         self.space().flush_range(block, node_words(&self.cfg));
@@ -436,14 +436,13 @@ impl UpSkipList {
         }
         pairs.sort_unstable();
         let moved = pairs.split_off(pairs.len() / 2);
-        let median = moved[0].0;
         let new_height = self.random_height();
         // Prepare-then-publish, as in `create_successor`: the allocator
         // pop, the new node's contents, and its tower links all queue their
         // CLWBs inside one flush epoch, committed by a single sweep fence
         // right before the publishing link CAS.
         let ep = pmem::FlushEpoch::open();
-        let block = self.alloc_block(node, median);
+        let block = self.alloc_block();
         self.init_node(block, new_height, &moved);
         self.populate_next_pointers(succs, block, new_height);
         // The bottom link must take over the split node's current successor

@@ -357,7 +357,7 @@ mod tests {
         // erasure is not. The old node still holds the moved keys (beyond
         // the new successor's first key) under a stale write lock.
         let kvs: Vec<(u64, u64)> = vec![(30, 300), (40, 400)];
-        let block = l.alloc_block(node, 30);
+        let block = l.alloc_block();
         l.init_node(block, 1, &kvs);
         let old_next = l.next(node, 0);
         l.space().write(
@@ -395,7 +395,7 @@ mod tests {
         // (line 255): new node linked and holding the upper half, old node
         // still holding every key, write lock held, split count bumped.
         let kvs: Vec<(u64, u64)> = vec![(30, 300), (40, 400)];
-        let block = l.alloc_block(node, 30);
+        let block = l.alloc_block();
         l.init_node(block, 1, &kvs);
         let old_next = l.next(node, 0);
         l.space().write(

@@ -62,20 +62,14 @@ impl Traversal {
 }
 
 impl UpSkipList {
-    /// Issue a software prefetch for `words` starting at `ptr` (feature
-    /// `prefetch`; compiles to nothing otherwise). Purely a hint: no
-    /// accounting, no crash checks, dropped when the chunk base is not in
-    /// the DRAM translation cache.
-    #[cfg(feature = "prefetch")]
+    /// Issue a software prefetch for `words` starting at `ptr`. Purely a
+    /// hint: no accounting, no crash checks, dropped when the chunk base is
+    /// not in the DRAM translation cache.
     #[inline]
     fn prefetch(&self, ptr: RivPtr, words: u64) {
         self.space().prefetch(ptr, words);
         self.stats.prefetch_issue();
     }
-
-    #[cfg(not(feature = "prefetch"))]
-    #[inline]
-    fn prefetch(&self, _ptr: RivPtr, _words: u64) {}
 
     /// Function 7. On success the *containing* node is recorded as
     /// `preds[level_found]` (for a `keys[0]` hit the traversal steps into

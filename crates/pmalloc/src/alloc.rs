@@ -1,5 +1,5 @@
 //! The recoverable block allocator (thesis §4.3.2–4.3.3, Functions 4–6),
-//! extended with a **leased-magazine fast path**.
+//! with every pop taken as a **lease** into a per-thread magazine.
 //!
 //! * **Coarse grain**: chunks are reserved from each pool's data region by a
 //!   single monotonic counter, so a chunk id alone identifies its region and
@@ -10,21 +10,22 @@
 //!   at the tail (Functions 5–6). Blocks reference each other with RIV
 //!   pointers, so a free list on one NUMA node may contain blocks homed on
 //!   another — exactly what cross-node deallocation needs (§4.3.3).
-//! * **Lease fast path** (`AllocConfig::magazine > 0`): instead of paying
-//!   one persisted log + one shared CAS + one block persist *per
-//!   allocation*, a thread claims up to M blocks with **one** persisted
-//!   `LOG_LEASE` entry and **one** multi-pop CAS that jumps the arena head
-//!   over the whole claimed prefix. The claimed blocks are stamped
-//!   RAW/POPPED under a single fence and parked in a DRAM thread-local
-//!   *magazine*; subsequent `alloc()` calls are served from the magazine
-//!   with zero pmem writes, zero fences, and zero shared CAS. Frees batch
+//! * **Leases** (M = `AllocConfig::magazine`): a thread claims up to M
+//!   blocks with **one** persisted `LOG_LEASE` entry and **one** multi-pop
+//!   CAS that jumps the arena head over the whole claimed prefix. With
+//!   M = 1 this is the thesis's per-pop protocol (Functions 3–4); larger M
+//!   amortizes the log, the CAS and the stamping fence over M allocations.
+//!   The claimed blocks are stamped RAW/POPPED under a single fence and
+//!   parked in a DRAM thread-local *magazine*; subsequent `alloc()` calls
+//!   are served from the magazine with zero pmem writes, zero fences, and
+//!   zero shared CAS. Frees batch
 //!   symmetrically: [`Allocator::free_deferred`] de-initializes the block
 //!   and writes its lines back immediately (no fence), parks it in a DRAM
 //!   *outbox*, and on flush chains the whole batch with one fence plus one
 //!   `LinkInTail`. Arena selection on the lease path is NUMA-aware: the
 //!   thread prefers an arena whose head block `Placement::owner_node` homes
 //!   on its own node, falling back to its hashed arena (stealing).
-//! * **Recovery**: every pop/lease/provisioning is preceded by a persisted
+//! * **Recovery**: every lease and provisioning is preceded by a persisted
 //!   per-thread log; a log left over from a previous failure-free epoch is
 //!   validated on the thread's next allocation and any unreachable memory
 //!   is returned to a free list (deferred recovery, §4.1.4). A stale lease
@@ -38,24 +39,23 @@
 //!
 //! ### Known windows (shared with the thesis's algorithm)
 //!
-//! The head pop — single or multi — is Function 4's single-word CAS and
-//! therefore inherits the classic free-list ABA window: a stalled thread
-//! can mis-pop if the same block cycles head → allocated → freed → head
-//! while it sleeps. Both pop paths now *guard* the window's aftermath:
-//! a candidate must still be `KIND_FREE` with a live successor, and a head
-//! slot that persistently names a block that already left the list is
-//! **self-healed** by swinging the head to a freshly carved chunk (the
-//! untrustworthy suffix is abandoned — a bounded, deliberate leak in an
-//! already-corrupt state; see [`AllocCounters::heals`]). The guard's
-//! re-read discipline shrinks, but cannot close, the underlying window;
-//! frees are rare (failed link-ins and crash cleanup), matching the
-//! thesis's usage.
+//! The multi-pop is Function 4's single-word CAS and therefore inherits
+//! the classic free-list ABA window: a stalled thread can mis-pop if the
+//! same block cycles head → allocated → freed → head while it sleeps. The
+//! pop *guards* the window's aftermath: a candidate must still be
+//! `KIND_FREE` with a live successor, and a head slot that persistently
+//! names a block that already left the list is **self-healed** by swinging
+//! the head to a freshly carved chunk (the untrustworthy suffix is
+//! abandoned — a bounded, deliberate leak in an already-corrupt state; see
+//! [`AllocCounters::heals`]). The guard's re-read discipline shrinks, but
+//! cannot close, the underlying window; frees are rare (failed link-ins
+//! and crash cleanup), matching the thesis's usage.
 //!
-//! Crash-leak bounds: a crash between a durable (multi-)pop CAS and the
-//! stamping fence can leak at most M blocks per thread (M = 1 without the
-//! magazine); a crash while an outbox holds de-initialized blocks leaks at
-//! most M more. Both are reclaimed only by a full reformat, mirroring the
-//! thesis's own bounded-leak stance.
+//! Crash-leak bounds: a crash between a durable multi-pop CAS and the
+//! stamping fence can leak at most M blocks per thread; a crash while an
+//! outbox holds de-initialized blocks leaks at most M more. Both are
+//! reclaimed only by a full reformat, mirroring the thesis's own
+//! bounded-leak stance.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -67,37 +67,27 @@ use crate::blocks::*;
 use crate::layout::{AllocConfig, PoolLayout, LEASE_MAX_BLOCKS, META_NEXT_CHUNK};
 use crate::log::{read_log, write_log, LogEntry};
 
-/// Client-provided navigation used to validate stale allocation logs: the
+/// Client-provided navigation used to validate stale lease logs: the
 /// allocator itself cannot interpret node contents.
 pub trait Reachability: Sync {
-    /// Walk the structure's bottom level from `pred` and report whether
-    /// `block` is linked in as the node whose first key is `key`
-    /// (Function 3 lines 15–22).
-    fn is_reachable(&self, pred: RivPtr, key: u64, block: RivPtr) -> bool;
-
-    /// The first key stored in a block that is initialized as a node; used
-    /// to distinguish "our interrupted insert" from "block reallocated by a
-    /// different thread" (§4.3.3 "additional metadata in the log entry").
+    /// The first key stored in a block that is initialized as a node: the
+    /// key [`Reachability::is_linked`] searches for.
     fn node_first_key(&self, block: RivPtr) -> u64;
 
-    /// Lease-log validation: is `block` linked into the structure as the
-    /// node holding `key`? Unlike [`Reachability::is_reachable`] there is
-    /// no logged predecessor to start from (a lease log names blocks, not
-    /// insert positions), so implementations should run a self-contained
-    /// read-only search. The default delegates to `is_reachable` from a
-    /// null predecessor.
-    fn is_linked(&self, key: u64, block: RivPtr) -> bool {
-        self.is_reachable(RivPtr::NULL, key, block)
-    }
+    /// Is `block` linked into the structure as the node holding `key`
+    /// (Function 3 lines 15–22)? A lease log names blocks, not insert
+    /// positions, so there is no logged predecessor to start from:
+    /// implementations run a self-contained read-only search.
+    fn is_linked(&self, key: u64, block: RivPtr) -> bool;
 }
 
 /// DRAM-only snapshot of the allocator's path counters (reset on restart).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocCounters {
-    /// Allocations served by popping an arena free list directly (the one
-    /// block a lease hands straight back counts here too).
+    /// Leases served by popping an arena free list directly (counted once
+    /// per lease, for the block it hands straight back).
     pub fast_allocs: u64,
-    /// Allocations whose path had to provision (carve) a new chunk first.
+    /// Leases that had to provision (carve) a new chunk first.
     pub slow_allocs: u64,
     /// Allocations served from the DRAM magazine: no pmem op at all.
     pub magazine_hits: u64,
@@ -113,7 +103,7 @@ pub struct AllocCounters {
     pub heals: u64,
 }
 
-/// Per-thread DRAM state for the lease fast path. Blocks in `magazine` are
+/// Per-thread DRAM state for the lease path. Blocks in `magazine` are
 /// claimed by a persisted lease log; blocks in `outbox` are de-initialized
 /// and written back but not yet linked into a free list.
 #[derive(Default)]
@@ -168,8 +158,8 @@ impl Allocator {
         );
         assert!(cfg.block_words > BLK_CLIENT, "blocks must fit their header");
         assert!(
-            cfg.magazine <= LEASE_MAX_BLOCKS,
-            "magazine capacity exceeds one log slot (LEASE_MAX_BLOCKS)"
+            (1..=LEASE_MAX_BLOCKS).contains(&cfg.magazine),
+            "lease size must be 1..=LEASE_MAX_BLOCKS (one log slot)"
         );
         let layout = PoolLayout::for_config(&cfg);
         Self {
@@ -286,26 +276,23 @@ impl Allocator {
         }
     }
 
-    /// Allocate one block from the caller's NUMA pool, intended to be linked
-    /// after `pred` as the node whose first key will be `key`
-    /// (`MakeLinkedObject`, Function 4, up to the pop). The returned block
-    /// has kind [`KIND_RAW`]; the client initializes it and sets
-    /// [`KIND_NODE`].
+    /// Allocate one block from the caller's NUMA pool (`MakeLinkedObject`,
+    /// Function 4, up to the pop). The returned block has kind
+    /// [`KIND_RAW`]; the client initializes it and sets [`KIND_NODE`].
+    /// Calls are served from the thread's DRAM magazine, refilled by a
+    /// lease when empty.
     ///
-    /// With `cfg.magazine > 0` most calls are served from the thread's DRAM
-    /// magazine (`pred`/`key` then go unrecorded: lease recovery re-derives
-    /// both via [`Reachability::is_linked`] / `node_first_key`).
+    /// `_pred` and `_key` are unused: a lease log records neither, and
+    /// recovery re-derives both via [`Reachability::node_first_key`] and
+    /// [`Reachability::is_linked`].
     pub fn alloc(
         &self,
         epoch: u64,
         pool_id: u16,
-        pred: RivPtr,
-        key: u64,
+        _pred: RivPtr,
+        _key: u64,
         reach: &dyn Reachability,
     ) -> RivPtr {
-        if self.cfg.magazine == 0 {
-            return self.alloc_logged(epoch, pool_id, pred, key, reach);
-        }
         let ctx = thread::current();
         let mut cache = self.cache(ctx.id);
         if !cache.magazine.is_empty() && (cache.lease_epoch != epoch || cache.lease_pool != pool_id)
@@ -323,87 +310,6 @@ impl Allocator {
             return b;
         }
         self.lease_refill(&mut cache, epoch, pool_id, reach)
-    }
-
-    /// The original one-log-one-CAS-per-pop path (Function 4), used when
-    /// the magazine is disabled.
-    fn alloc_logged(
-        &self,
-        epoch: u64,
-        pool_id: u16,
-        pred: RivPtr,
-        key: u64,
-        reach: &dyn Reachability,
-    ) -> RivPtr {
-        let ctx = thread::current();
-        let arena = ctx.id % self.cfg.num_arenas;
-        let pool = self.space.pool(pool_id);
-        let head_slot = self.layout.arena_head(arena);
-        let mut provisioned = false;
-        loop {
-            let head_raw = pool.read(head_slot);
-            let head = RivPtr::from_raw(head_raw);
-            assert!(
-                !head.is_null(),
-                "arena head must never be null (pool not formatted?)"
-            );
-            // Pop guard (module docs "Known windows"): a block that already
-            // left the list must never be handed out again.
-            if self.space.read(head.add(BLK_KIND as u32)) != KIND_FREE {
-                self.heal_head_if_corrupt(epoch, pool_id, arena, head_raw, reach);
-                continue;
-            }
-            let next_raw = self.space.read(head.add(BLK_NEXT_FREE as u32));
-            if next_raw == NEXT_POPPED {
-                self.heal_head_if_corrupt(epoch, pool_id, arena, head_raw, reach);
-                continue;
-            }
-            if next_raw == 0 {
-                // The last block is never popped; grow instead (line 34).
-                self.provision_chunk(epoch, pool_id, arena, reach);
-                provisioned = true;
-                continue;
-            }
-            // Function 3: validate any stale log, then log this attempt.
-            self.validate_stale_log(epoch, reach);
-            write_log(
-                &self.space,
-                &self.layout,
-                ctx.id,
-                LogEntry::Alloc {
-                    epoch,
-                    block: head,
-                    pred,
-                    key,
-                },
-            );
-            if pool.cas(head_slot, head_raw, next_raw).is_ok() {
-                pool.persist(head_slot, 1);
-                // De-initialize the popped block immediately so a stale log
-                // pointing at it can classify it (see module docs). The
-                // next word gets the POPPED sentinel, never 0, so a racing
-                // or crash-stale push cannot attach a chain here.
-                self.space.write(head.add(BLK_KIND as u32), KIND_RAW);
-                self.space
-                    .write(head.add(BLK_NEXT_FREE as u32), NEXT_POPPED);
-                self.space.write(head.add(BLK_EPOCH as u32), epoch);
-                self.space.persist(head, BLK_CLIENT);
-                // If the tail was lagging on the block we just removed,
-                // advance it so pushes keep finding in-list tails.
-                let tail_slot = self.layout.arena_tail(arena);
-                if pool.read(tail_slot) == head_raw {
-                    let _ = pool.cas(tail_slot, head_raw, next_raw);
-                    pool.persist(tail_slot, 1);
-                }
-                let path = if provisioned {
-                    &self.slow_allocs
-                } else {
-                    &self.fast_allocs
-                };
-                path.fetch_add(1, Relaxed);
-                return head;
-            }
-        }
     }
 
     /// Acquire a lease of up to `cfg.magazine` blocks: one persisted
@@ -541,8 +447,6 @@ impl Allocator {
     /// The arena a lease draws from: prefer one whose head block is homed
     /// on the calling thread's NUMA node (pool placement may stripe lines
     /// across nodes), falling back to the thread's hashed arena (stealing).
-    /// The magazine-off pop path keeps the plain hash — this scan is only
-    /// amortized over a whole lease.
     fn pick_arena(&self, pool_id: u16, tid: usize, node: u16) -> usize {
         let n = self.cfg.num_arenas;
         let start = tid % n;
@@ -645,17 +549,13 @@ impl Allocator {
     /// de-initialized and written back immediately (its content never
     /// outlives the free), but the fence and the `LinkInTail` are batched —
     /// one of each per outbox flush instead of per block. Falls back to the
-    /// eager path when the magazine is disabled or the block needs the
-    /// membership walk. Not safe to race with another free of the *same*
+    /// eager path when the block needs the membership walk. Not safe to race with another free of the *same*
     /// block (the structure's unlink already serializes frees per block);
     /// recovery paths use the eager [`Allocator::free`].
     ///
     /// A crash while blocks sit in the outbox leaks at most
     /// `cfg.magazine` blocks per thread (module docs "Known windows").
     pub fn free_deferred(&self, epoch: u64, pool_id: u16, obj: RivPtr) {
-        if self.cfg.magazine == 0 {
-            return self.free(epoch, pool_id, obj);
-        }
         let ctx = thread::current();
         let arena = ctx.id % self.cfg.num_arenas;
         let mut cache = self.cache(ctx.id);
@@ -773,90 +673,38 @@ impl Allocator {
     pub(crate) fn recover_log(&self, epoch: u64, entry: LogEntry, reach: &dyn Reachability) {
         match entry {
             LogEntry::Empty => {}
-            LogEntry::Alloc {
-                epoch: log_epoch,
-                block,
-                pred,
-                key,
-            } => {
-                // The slot's cache line can be persisted by a crash *mid
-                // overwrite* (only the kind word is ordered last), so the
-                // decoded fields may mix two entries — e.g. an old ALLOC
-                // kind over a new provision's tiny integers. A torn entry
-                // is safe to skip outright: the fence publishing it never
-                // completed, so the operation it describes never touched
-                // shared state, and the slot's *previous* entry was proven
-                // complete (same epoch) or validated before the overwrite
-                // began. Pointers that don't resolve are exactly that case.
-                if !self.space.ptr_resolves(block, BLK_HEADER_WORDS) {
-                    return;
-                }
-                if !pred.is_null() && !self.space.ptr_resolves(pred, BLK_HEADER_WORDS) {
-                    return;
-                }
-                // A block popped again after the crash carries the *new*
-                // failure-free epoch (written at pop, persisted with its
-                // kind in the same line): it belongs to another thread's
-                // in-flight operation now, whatever its contents look
-                // like, and must not be reclaimed from this stale log.
-                if self.space.read(block.add(BLK_EPOCH as u32)) != log_epoch {
-                    return;
-                }
-                let kind = self.space.read(block.add(BLK_KIND as u32));
-                match kind {
-                    KIND_NODE => {
-                        if reach.node_first_key(block) != key {
-                            // Reallocated by a different thread since; its
-                            // own log covers it.
-                            return;
-                        }
-                        if reach.is_reachable(pred, key, block) {
-                            // The interrupted insert actually completed.
-                            return;
-                        }
-                        self.free(epoch, self.home_pool(), block);
-                    }
-                    KIND_RAW => {
-                        let next = self.space.read(block.add(BLK_NEXT_FREE as u32));
-                        if next == NEXT_POPPED || next == 0 {
-                            // Popped (or mid-conversion) but never
-                            // initialized: reclaim.
-                            self.free(epoch, self.home_pool(), block);
-                        }
-                        // Any other next value: the pop CAS may not have
-                        // become durable and the block could still be in a
-                        // list — leave it (bounded leak, see module docs).
-                    }
-                    _ => {
-                        // KIND_FREE: already back (or still) in a free list.
-                    }
-                }
-            }
             LogEntry::Lease {
                 epoch: log_epoch,
                 count,
                 blocks,
             } => {
-                // O(M) per stale lease: classify every listed block the
-                // same way the Alloc arm classifies its one block. The
+                // O(M) per stale lease: classify every listed block. The
                 // lease log records no key or predecessor, so node-shaped
                 // blocks are checked with the structure's own search
                 // (`is_linked` on the node's current first key).
                 for &block in blocks.iter().take(count) {
+                    // A crash mid-overwrite can persist a torn slot mixing
+                    // two entries; the lease it names never touched shared
+                    // state, and unresolvable pointers are that residue.
                     if !self.space.ptr_resolves(block, BLK_HEADER_WORDS) {
-                        continue; // torn slot residue (see the Alloc arm)
+                        continue;
                     }
+                    // Re-popped since the crash (stamped with the new
+                    // epoch): its new owner's log covers it.
                     if self.space.read(block.add(BLK_EPOCH as u32)) != log_epoch {
-                        continue; // re-owned since; another log covers it
+                        continue;
                     }
                     match self.space.read(block.add(BLK_KIND as u32)) {
                         KIND_NODE => {
+                            // Linked: the interrupted insert completed.
                             let key = reach.node_first_key(block);
                             if !reach.is_linked(key, block) {
                                 self.free(epoch, self.home_pool(), block);
                             }
                         }
                         KIND_RAW => {
+                            // Popped (or mid-conversion) but never
+                            // initialized: reclaim.
                             let next = self.space.read(block.add(BLK_NEXT_FREE as u32));
                             if next == NEXT_POPPED || next == 0 {
                                 self.free(epoch, self.home_pool(), block);
@@ -1140,7 +988,7 @@ impl Allocator {
 
     /// Count the blocks currently in `arena`'s free list of `pool_id`.
     /// Only meaningful while the allocator is quiescent (drain caches
-    /// first when the magazine is enabled).
+    /// first).
     pub fn count_free(&self, pool_id: u16, arena: usize) -> usize {
         let pool = self.space.pool(pool_id);
         let mut cur = RivPtr::from_raw(pool.read(self.layout.arena_head(arena)));
@@ -1174,10 +1022,10 @@ impl Allocator {
 pub struct NoNav;
 
 impl Reachability for NoNav {
-    fn is_reachable(&self, _pred: RivPtr, _key: u64, _block: RivPtr) -> bool {
-        false
-    }
     fn node_first_key(&self, _block: RivPtr) -> u64 {
         u64::MAX
+    }
+    fn is_linked(&self, _key: u64, _block: RivPtr) -> bool {
+        false
     }
 }

@@ -51,16 +51,15 @@ pub struct AllocConfig {
     pub max_chunks: u16,
     /// Words reserved at the front of every pool for the client's root.
     pub root_words: u64,
-    /// Leased-magazine capacity per thread: how many blocks one persisted
-    /// `LOG_LEASE` entry claims at once (0 disables the fast path and
-    /// restores one log + one CAS per allocation). At most
-    /// [`LEASE_MAX_BLOCKS`].
+    /// Lease size M: how many blocks one persisted `LOG_LEASE` entry claims
+    /// at once into the thread's DRAM magazine, `1..=`[`LEASE_MAX_BLOCKS`].
+    /// M = 1 is the thesis's one log + one CAS per allocation.
     pub magazine: usize,
 }
 
 impl AllocConfig {
-    /// A small configuration for unit tests (magazine off: the per-block
-    /// accounting tests rely on eager frees).
+    /// A small configuration for unit tests: one-block leases, so every
+    /// allocation logs and pops on its own.
     pub fn small() -> Self {
         Self {
             block_words: 64,
@@ -68,11 +67,11 @@ impl AllocConfig {
             num_arenas: 4,
             max_chunks: 64,
             root_words: 64,
-            magazine: 0,
+            magazine: 1,
         }
     }
 
-    /// [`AllocConfig::small`] with the leased-magazine fast path enabled.
+    /// [`AllocConfig::small`] with leases of `capacity` blocks.
     pub fn small_magazine(capacity: usize) -> Self {
         Self {
             magazine: capacity,

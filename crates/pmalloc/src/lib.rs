@@ -22,7 +22,7 @@ pub use blocks::{
     KIND_RAW, NEXT_POPPED,
 };
 pub use layout::{AllocConfig, PoolLayout, LEASE_MAX_BLOCKS};
-pub use log::{read_log, write_log, LogEntry, LOG_ALLOC, LOG_EMPTY, LOG_LEASE, LOG_PROVISION};
+pub use log::{read_log, write_log, LogEntry, LOG_EMPTY, LOG_LEASE, LOG_PROVISION};
 
 #[cfg(test)]
 mod tests {
@@ -164,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_alloc_log_reclaims_unreachable_node() {
+    fn stale_log_reclaims_unreachable_node() {
         let a = build(1, false);
         pmem::thread::register(3, 0);
         let b = a.alloc(EPOCH1, 0, RivPtr::NULL, 42, &NoNav);
@@ -172,12 +172,12 @@ mod tests {
         // linking it. NoNav says "unreachable" and reports key 42.
         struct Nav(RivPtr);
         impl Reachability for Nav {
-            fn is_reachable(&self, _p: RivPtr, _k: u64, _b: RivPtr) -> bool {
-                false
-            }
             fn node_first_key(&self, b: RivPtr) -> u64 {
                 assert_eq!(b, self.0);
                 42
+            }
+            fn is_linked(&self, _k: u64, _b: RivPtr) -> bool {
+                false
             }
         }
         a.space().write(b.add(BLK_KIND as u32), KIND_NODE);
@@ -198,18 +198,18 @@ mod tests {
     }
 
     #[test]
-    fn stale_alloc_log_keeps_reachable_node() {
+    fn stale_log_keeps_reachable_node() {
         let a = build(1, false);
         pmem::thread::register(4, 0);
         let b = a.alloc(EPOCH1, 0, RivPtr::NULL, 7, &NoNav);
         a.space().write(b.add(BLK_KIND as u32), KIND_NODE);
         struct Nav;
         impl Reachability for Nav {
-            fn is_reachable(&self, _p: RivPtr, _k: u64, _b: RivPtr) -> bool {
-                true // the insert completed before the crash
-            }
             fn node_first_key(&self, _b: RivPtr) -> u64 {
                 7
+            }
+            fn is_linked(&self, _k: u64, _b: RivPtr) -> bool {
+                true // the insert completed before the crash
             }
         }
         let _ = a.alloc(EPOCH1 + 1, 0, RivPtr::NULL, 8, &Nav);
@@ -237,11 +237,11 @@ mod tests {
         a.space().write(b.add(BLK_EPOCH as u32), EPOCH1 + 1);
         struct Nav;
         impl Reachability for Nav {
-            fn is_reachable(&self, _p: RivPtr, _k: u64, _b: RivPtr) -> bool {
-                false // not yet linked by its new owner
-            }
             fn node_first_key(&self, _b: RivPtr) -> u64 {
                 42 // same key as the stale log
+            }
+            fn is_linked(&self, _k: u64, _b: RivPtr) -> bool {
+                false // not yet linked by its new owner
             }
         }
         let _ = a.alloc(EPOCH1 + 1, 0, RivPtr::NULL, 43, &Nav);
@@ -253,25 +253,36 @@ mod tests {
     }
 
     #[test]
-    fn stale_log_skips_block_reallocated_by_other_thread() {
+    fn a_block_named_by_two_stale_logs_is_reclaimed_once() {
+        // Two threads' stale lease logs name the same unlinked node block
+        // (one leased and freed it, the other re-leased it, both before the
+        // crash). The first validation reclaims it; the second finds it
+        // already freed in the new epoch and skips it.
         let a = build(1, false);
         pmem::thread::register(5, 0);
         let b = a.alloc(EPOCH1, 0, RivPtr::NULL, 10, &NoNav);
         a.space().write(b.add(BLK_KIND as u32), KIND_NODE);
-        struct Nav;
-        impl Reachability for Nav {
-            fn is_reachable(&self, _p: RivPtr, _k: u64, _b: RivPtr) -> bool {
-                false
-            }
-            fn node_first_key(&self, _b: RivPtr) -> u64 {
-                999 // a different key: someone else owns this block now
+        write_log(a.space(), a.layout(), 20, LogEntry::lease(EPOCH1, &[b]));
+        let b5 = a.alloc(EPOCH1 + 1, 0, RivPtr::NULL, 11, &NoNav);
+        assert_eq!(a.space().read(b.add(BLK_KIND as u32)), KIND_FREE);
+        pmem::thread::register(20, 0);
+        let b20 = a.alloc(EPOCH1 + 1, 0, RivPtr::NULL, 12, &NoNav);
+        a.free(EPOCH1 + 1, 0, b5);
+        a.free(EPOCH1 + 1, 0, b20);
+        // count_free panics on a cycle, so the walk below terminates.
+        let total = a.chunks_provisioned(0) * a.config().blocks_per_chunk;
+        assert_eq!(a.count_free_all(0) as u64, total);
+        let mut links = 0;
+        for arena in 0..a.config().num_arenas {
+            let mut cur = RivPtr::from_raw(a.space().pool(0).read(a.layout().arena_head(arena)));
+            while !cur.is_null() {
+                links += usize::from(cur == b);
+                cur = RivPtr::from_raw(a.space().read(cur.add(BLK_NEXT_FREE as u32)));
             }
         }
-        let _ = a.alloc(EPOCH1 + 1, 0, RivPtr::NULL, 11, &Nav);
         assert_eq!(
-            a.space().read(b.add(BLK_KIND as u32)),
-            KIND_NODE,
-            "blocks reallocated by other threads must not be reclaimed"
+            links, 1,
+            "the doubly-named block must be freed exactly once"
         );
     }
 
@@ -364,6 +375,12 @@ mod tests {
     }
 
     // ---- leased-magazine fast path ----
+
+    #[test]
+    #[should_panic(expected = "lease size")]
+    fn an_empty_lease_is_rejected() {
+        build_cfg(1, false, AllocConfig::small_magazine(0));
+    }
 
     #[test]
     fn magazine_serves_allocs_with_zero_pmem_traffic() {
@@ -507,11 +524,11 @@ mod tests {
         a.space().write(b2.add(BLK_EPOCH as u32), EPOCH1 + 1);
         struct Nav(RivPtr);
         impl Reachability for Nav {
-            fn is_reachable(&self, _p: RivPtr, _k: u64, b: RivPtr) -> bool {
-                b == self.0 // only b1 is linked in
-            }
             fn node_first_key(&self, _b: RivPtr) -> u64 {
                 77
+            }
+            fn is_linked(&self, _k: u64, b: RivPtr) -> bool {
+                b == self.0 // only b1 is linked in
             }
         }
         let restarted = Allocator::new(Arc::clone(a.space()), cfg);

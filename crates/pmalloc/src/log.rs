@@ -2,15 +2,15 @@
 //!
 //! Each thread owns one log slot of [`crate::layout::LOG_SLOT_LINES`] cache lines in
 //! pool 0. Before any modification that could leave memory unreachable if
-//! interrupted (a block pop, a chunk provisioning, a multi-block lease),
-//! the thread persists a log describing the attempt. Because a thread
+//! interrupted (a lease of one or more blocks, a chunk provisioning), the
+//! thread persists a log describing the attempt. Because a thread
 //! processes operations sequentially, a log from the *current* failure-free
 //! epoch proves the previous attempt completed; a log from an *older* epoch
 //! means the attempt may have been interrupted by a crash, and is
 //! validated/cleaned up lazily before the slot is reused. Recovery work
-//! after a crash of `k` threads is therefore O(k) for pops/provisionings
-//! and O(k·M) for leases of M blocks — still independent of structure size
-//! (thesis §4.1.5).
+//! after a crash of `k` threads is therefore O(k) for provisionings and
+//! O(k·M) for leases of M blocks — still independent of structure size
+//! (thesis §4.1.5). A lease of one block is the thesis's per-pop log.
 //!
 //! A lease entry names every leased block explicitly (line 1 of the slot)
 //! rather than `(first, count)`: once blocks are consumed from the DRAM
@@ -21,34 +21,25 @@ use riv::{RivPtr, RivSpace};
 
 use crate::layout::{PoolLayout, LEASE_MAX_BLOCKS, LOG_SLOT_WORDS};
 
-/// Discriminant for an empty slot.
+/// Discriminant for an empty slot. Kind 1 (the retired per-pop entry) and
+/// every other unknown kind also decode as empty.
 pub const LOG_EMPTY: u64 = 0;
-/// Discriminant for a block-allocation attempt.
-pub const LOG_ALLOC: u64 = 1;
 /// Discriminant for a chunk-provisioning attempt.
 pub const LOG_PROVISION: u64 = 2;
-/// Discriminant for a multi-block lease (magazine refill).
+/// Discriminant for a lease of one or more blocks (magazine refill).
 pub const LOG_LEASE: u64 = 3;
 
 /// A decoded log entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogEntry {
     Empty,
-    /// A pop of `block` intended to be linked after the node reachable via
-    /// `pred` as the node holding `key` (Function 3's fields).
-    Alloc {
-        epoch: u64,
-        block: RivPtr,
-        pred: RivPtr,
-        key: u64,
-    },
     /// A provisioning of chunk `chunk_id` in `pool_id`.
     Provision {
         epoch: u64,
         pool_id: u16,
         chunk_id: u16,
     },
-    /// A multi-pop of up to [`LEASE_MAX_BLOCKS`] blocks into a thread-local
+    /// A pop of up to [`LEASE_MAX_BLOCKS`] blocks into a thread-local
     /// DRAM magazine. `blocks[..count]` are the claimed blocks.
     Lease {
         epoch: u64,
@@ -62,9 +53,7 @@ impl LogEntry {
     pub fn epoch(&self) -> Option<u64> {
         match *self {
             LogEntry::Empty => None,
-            LogEntry::Alloc { epoch, .. }
-            | LogEntry::Provision { epoch, .. }
-            | LogEntry::Lease { epoch, .. } => Some(epoch),
+            LogEntry::Provision { epoch, .. } | LogEntry::Lease { epoch, .. } => Some(epoch),
         }
     }
 
@@ -91,12 +80,6 @@ pub fn read_log(space: &RivSpace, layout: &PoolLayout, thread_id: usize) -> LogE
     let slot = layout.log_slot(thread_id);
     let kind = pool.read(slot + 1);
     match kind {
-        LOG_ALLOC => LogEntry::Alloc {
-            epoch: pool.read(slot),
-            block: RivPtr::from_raw(pool.read(slot + 2)),
-            pred: RivPtr::from_raw(pool.read(slot + 3)),
-            key: pool.read(slot + 4),
-        },
         LOG_PROVISION => LogEntry::Provision {
             epoch: pool.read(slot),
             pool_id: pool.read(slot + 2) as u16,
@@ -121,38 +104,16 @@ pub fn read_log(space: &RivSpace, layout: &PoolLayout, thread_id: usize) -> LogE
     }
 }
 
-/// Overwrite and persist the log slot of `thread_id`. Pop and provisioning
-/// entries fit one cache line (a single flush, thesis §4.1.4); a lease
-/// entry spans [`crate::layout::LOG_SLOT_LINES`] lines but still pays only **one** fence —
-/// that amortized fence is the point of the lease fast path.
+/// Overwrite and persist the log slot of `thread_id`. A provisioning entry
+/// fits one cache line (a single flush, thesis §4.1.4); a lease entry spans
+/// [`crate::layout::LOG_SLOT_LINES`] lines but still pays only **one**
+/// fence — that amortized fence is the point of the lease fast path.
 pub fn write_log(space: &RivSpace, layout: &PoolLayout, thread_id: usize, entry: LogEntry) {
     let pool = space.pool(0);
     let slot = layout.log_slot(thread_id);
     match entry {
         LogEntry::Empty => {
             pool.write(slot + 1, LOG_EMPTY);
-        }
-        LogEntry::Alloc {
-            epoch,
-            block,
-            pred,
-            key,
-        } => {
-            pool.write(slot, epoch);
-            pool.write(slot + 2, block.raw());
-            pool.write(slot + 3, pred.raw());
-            pool.write(slot + 4, key);
-            // The kind word is written last so a torn slot decodes as the
-            // previous kind with stale fields only if the line was partially
-            // evicted — recovery tolerates both interpretations because both
-            // validations are idempotent.
-            pool.write(
-                slot + 1,
-                match entry {
-                    LogEntry::Alloc { .. } => LOG_ALLOC,
-                    _ => unreachable!(),
-                },
-            );
         }
         LogEntry::Provision {
             epoch,
@@ -162,6 +123,10 @@ pub fn write_log(space: &RivSpace, layout: &PoolLayout, thread_id: usize, entry:
             pool.write(slot, epoch);
             pool.write(slot + 2, pool_id as u64);
             pool.write(slot + 3, chunk_id as u64);
+            // The kind word is written last so a torn slot decodes as the
+            // previous kind with stale fields only if the line was partially
+            // evicted — recovery tolerates both interpretations because both
+            // validations are idempotent.
             pool.write(slot + 1, LOG_PROVISION);
         }
         LogEntry::Lease {
@@ -201,20 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_alloc_entry() {
-        let (sp, l) = space();
-        let e = LogEntry::Alloc {
-            epoch: 3,
-            block: RivPtr::new(0, 1, 64),
-            pred: RivPtr::new(0, 1, 0),
-            key: 42,
-        };
-        write_log(&sp, &l, 5, e);
-        assert_eq!(read_log(&sp, &l, 5), e);
-        assert_eq!(read_log(&sp, &l, 6), LogEntry::Empty);
-    }
-
-    #[test]
     fn roundtrip_provision_entry() {
         let (sp, l) = space();
         let e = LogEntry::Provision {
@@ -224,16 +175,16 @@ mod tests {
         };
         write_log(&sp, &l, 0, e);
         assert_eq!(read_log(&sp, &l, 0), e);
+        assert_eq!(read_log(&sp, &l, 1), LogEntry::Empty);
     }
 
     #[test]
     fn log_survives_crash() {
         let (sp, l) = space();
-        let e = LogEntry::Alloc {
+        let e = LogEntry::Provision {
             epoch: 1,
-            block: RivPtr::new(0, 2, 8),
-            pred: RivPtr::new(0, 1, 0),
-            key: 7,
+            pool_id: 0,
+            chunk_id: 2,
         };
         write_log(&sp, &l, 3, e);
         sp.pool(0).simulate_crash();
@@ -291,20 +242,19 @@ mod tests {
     }
 
     #[test]
-    fn lease_entry_survives_crash_and_overwrite_by_alloc() {
+    fn lease_entry_survives_crash_and_overwrite_by_provision() {
         let (sp, l) = space();
         let claimed: Vec<RivPtr> = (0..7).map(|i| RivPtr::new(0, 2, i * 128)).collect();
         let e = LogEntry::lease(3, &claimed);
         write_log(&sp, &l, 4, e);
         sp.pool(0).simulate_crash();
         assert_eq!(read_log(&sp, &l, 4), e);
-        // An alloc entry only rewrites line 0; the decode must follow the
-        // new kind and ignore the lease pointers left in line 1.
-        let a = LogEntry::Alloc {
+        // A provisioning entry only rewrites line 0; the decode must follow
+        // the new kind and ignore the lease pointers left in line 1.
+        let a = LogEntry::Provision {
             epoch: 4,
-            block: RivPtr::new(0, 1, 64),
-            pred: RivPtr::NULL,
-            key: 9,
+            pool_id: 0,
+            chunk_id: 1,
         };
         write_log(&sp, &l, 4, a);
         assert_eq!(read_log(&sp, &l, 4), a);

@@ -18,7 +18,7 @@ use pmem::{run_crashable, CrashController, CrashPlan, Pool};
 use riv::{RivPtr, RivSpace};
 
 const LOG_PROVISION_KIND: u64 = 2;
-const LOG_ALLOC_KIND: u64 = 1;
+const LOG_LEASE_KIND: u64 = 3;
 
 fn build(chunks: u64) -> (Allocator, Arc<Pool>) {
     let cfg = AllocConfig::small();
@@ -51,7 +51,7 @@ fn tear_slot(a: &Allocator, pool: &Arc<Pool>, kind: u64, w2: u64, w3: u64) {
 fn torn_provision_entry_with_garbage_pool_id_is_skipped() {
     let (a, pool) = build(8);
     // Regression for the crash_sweep find: an old PROVISION kind over a new
-    // Alloc entry's block pointer decodes as pool_id = 384 on a 1-pool
+    // entry's block pointer decodes as pool_id = 384 on a 1-pool
     // machine. Recovery used to index pools[384] and die.
     tear_slot(&a, &pool, LOG_PROVISION_KIND, 384, 1);
     let b = a.alloc(2, 0, RivPtr::NULL, 7, &NoNav);
@@ -80,20 +80,35 @@ fn provision_entry_for_chunk_beyond_the_pool_is_skipped() {
 }
 
 #[test]
-fn torn_alloc_entry_with_unresolvable_block_is_skipped() {
+fn torn_lease_entry_with_unresolvable_block_is_skipped() {
     let (a, pool) = build(8);
-    // All-ones raw: pool 0xffff, chunk 0xffff — nothing resolves.
-    tear_slot(&a, &pool, LOG_ALLOC_KIND, u64::MAX, 0);
+    // A one-block lease naming all-ones raw: pool 0xffff, chunk 0xffff —
+    // nothing resolves.
+    tear_slot(&a, &pool, LOG_LEASE_KIND, 1, u64::MAX);
     let b = a.alloc(2, 0, RivPtr::NULL, 7, &NoNav);
     a.free(2, 0, b);
 }
 
 #[test]
-fn torn_alloc_entry_with_unregistered_chunk_is_skipped() {
+fn torn_lease_entry_with_unregistered_chunk_is_skipped() {
     let (a, pool) = build(8);
     // Chunk 37 is in range but was never provisioned/registered.
-    tear_slot(&a, &pool, LOG_ALLOC_KIND, RivPtr::new(0, 37, 64).raw(), 0);
+    tear_slot(&a, &pool, LOG_LEASE_KIND, 1, RivPtr::new(0, 37, 64).raw());
     let b = a.alloc(2, 0, RivPtr::NULL, 7, &NoNav);
+    a.free(2, 0, b);
+}
+
+#[test]
+fn retired_alloc_kind_decodes_as_empty() {
+    // Kind 1 was the per-pop log entry before every pop became a lease; a
+    // pool written by that code may still hold one. It decodes as empty
+    // and recovery has nothing to do for it.
+    let (a, pool) = build(8);
+    tear_slot(&a, &pool, 1, RivPtr::new(0, 1, 64).raw(), 0);
+    let tid = pmem::thread::current().id;
+    assert_eq!(read_log(a.space(), a.layout(), tid), LogEntry::Empty);
+    let b = a.alloc(2, 0, RivPtr::NULL, 7, &NoNav);
+    assert!(!b.is_null());
     a.free(2, 0, b);
 }
 

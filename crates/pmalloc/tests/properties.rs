@@ -16,7 +16,7 @@ fn build(tracked: bool, arenas: usize) -> Allocator {
         num_arenas: arenas,
         max_chunks: 256,
         root_words: 64,
-        magazine: 0,
+        magazine: 1,
     };
     let layout = PoolLayout::for_config(&cfg);
     let words = layout.required_pool_words(&cfg, 256);
