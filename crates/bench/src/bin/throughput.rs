@@ -11,19 +11,32 @@
 //! op for per-op pmem attribution, and writes a [`MetricsReport`]
 //! (JSON or CSV by extension) alongside the throughput CSV on stdout.
 //! Emits CSV: `workload,structure,threads,mops`.
+//!
+//! A watchdog ends a stalled sweep: when no driver thread completes an
+//! operation for two minutes it prints the cell (workload × structure ×
+//! threads), the per-thread op counts and, for UPSkipList, the list's
+//! structure counters (live under `--metrics`), and exits with code 2.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bench::metrics::{push_attribution_rows, stats_by_op, write_report};
 use bench::{
-    build_bztree, build_pmdkskip, build_upskiplist, run_metrics, Args, Deployment, KvIndex,
-    UpSkipListOpts,
+    build_bztree, build_pmdkskip, build_upskiplist, run_metrics, watchdog, Args, Deployment,
+    KvIndex, UpSkipListOpts,
 };
 use obs::report::MetricsReport;
 use obs::{ObsLevel, Registry};
 use pmem::stats::OP_KINDS;
 use pmem::{OpKind, Pool};
+use upskiplist::UpSkipList;
 use ycsb::workload_by_name;
+
+/// The sweep cell being measured, for the watchdog's report.
+#[derive(Default)]
+struct Cell {
+    label: String,
+    list: Option<Arc<UpSkipList>>,
+}
 
 fn main() {
     let args = Args::parse();
@@ -44,6 +57,25 @@ fn main() {
     report.meta("records", records);
     report.meta("ops", ops);
 
+    let cell = Arc::new(Mutex::new(Cell::default()));
+    let watched = Arc::clone(&cell);
+    watchdog::spawn(move |counts| {
+        let cell = watched.lock().unwrap_or_else(|e| e.into_inner());
+        eprintln!(
+            "STALL: no operation completed for {} s in cell {}; per-thread ops {counts:?}",
+            watchdog::STALL_LIMIT.as_secs(),
+            cell.label
+        );
+        if let Some(list) = &cell.list {
+            // The list's own counters count only under `--metrics`.
+            eprintln!(
+                "structure counters (obs {:?}): {:?}",
+                list.obs_level(),
+                list.struct_metrics()
+            );
+        }
+    });
+
     println!("workload,structure,threads,mops");
     for wname in &workloads {
         let spec = workload_by_name(wname).unwrap_or_else(|| panic!("unknown workload {wname}"));
@@ -58,10 +90,12 @@ fn main() {
                     },
                     ..Deployment::simple(records)
                 };
+                let mut list = None;
                 let (index, pools): (Arc<dyn KvIndex>, Vec<Arc<Pool>>) = match s.as_str() {
                     "upskiplist" => {
                         let l = build_upskiplist(&d, UpSkipListOpts::keys_per_node(256));
                         let pools = l.space().pools().to_vec();
+                        list = Some(Arc::clone(&l));
                         (l, pools)
                     }
                     "bztree" => {
@@ -75,6 +109,10 @@ fn main() {
                         (p, pools)
                     }
                     other => panic!("unknown structure {other}"),
+                };
+                *cell.lock().unwrap_or_else(|e| e.into_inner()) = Cell {
+                    label: format!("{} x {s} x {t} threads", spec.name),
+                    list,
                 };
                 bench::load(&index, &w, (*t).max(4), 1);
                 // Warm-up pass (caches, free lists), then the measured run.

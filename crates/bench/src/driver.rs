@@ -13,6 +13,7 @@ use pmem::{op_tag, OpKind};
 use ycsb::{Op, Workload};
 
 use crate::index::KvIndex;
+use crate::watchdog;
 
 /// Result of one measured run.
 #[derive(Debug, Clone)]
@@ -51,12 +52,14 @@ pub fn load<I: KvIndex + ?Sized>(
     numa_nodes: u16,
 ) {
     let chunk = workload.load.len().div_ceil(threads);
+    let _phase = watchdog::phase(threads);
     std::thread::scope(|s| {
         for (t, part) in workload.load.chunks(chunk.max(1)).enumerate() {
             let index = Arc::clone(index);
             s.spawn(move || {
                 pmem::thread::register(t, (t as u16) % numa_nodes.max(1));
                 for &(k, v) in part {
+                    watchdog::tick(t);
                     index.insert(k, v);
                 }
             });
@@ -75,6 +78,7 @@ pub fn run<I: KvIndex + ?Sized>(
     structure: &'static str,
 ) -> RunResult {
     let threads = workload.ops.len();
+    let _phase = watchdog::phase(threads);
     let started = Instant::now();
     let mut lat: Vec<(Vec<u64>, Vec<u64>, Vec<u64>)> = Vec::new();
     std::thread::scope(|s| {
@@ -90,6 +94,7 @@ pub fn run<I: KvIndex + ?Sized>(
                     let mut updates = Vec::new();
                     let mut inserts = Vec::new();
                     for op in trace {
+                        watchdog::tick(t);
                         if capture_latency {
                             let t0 = Instant::now();
                             match *op {
@@ -183,6 +188,7 @@ pub fn run_batched<I: KvIndex + ?Sized>(
 ) -> RunResult {
     let threads = workload.ops.len();
     let batch = batch.max(1);
+    let _phase = watchdog::phase(threads);
     let started = Instant::now();
     std::thread::scope(|s| {
         for (t, trace) in workload.ops.iter().enumerate() {
@@ -204,6 +210,7 @@ pub fn run_batched<I: KvIndex + ?Sized>(
                     }
                 };
                 for op in trace {
+                    watchdog::tick(t);
                     match *op {
                         Op::Read(k) => {
                             flush_writes(&mut writes);
@@ -274,6 +281,7 @@ pub fn run_metrics<I: KvIndex + ?Sized>(
     let hist: Option<[Arc<Histogram>; 4]> = registry.map(latency_histograms);
     let threads = workload.ops.len();
     let batch = batch.max(1);
+    let _phase = watchdog::phase(threads);
     let started = Instant::now();
     std::thread::scope(|s| {
         for (t, trace) in workload.ops.iter().enumerate() {
@@ -288,6 +296,7 @@ pub fn run_metrics<I: KvIndex + ?Sized>(
                 };
                 let mut pending: Vec<u64> = Vec::with_capacity(batch);
                 for op in trace {
+                    watchdog::tick(t);
                     if batch > 1 {
                         if let Op::Read(k) = *op {
                             pending.push(k);

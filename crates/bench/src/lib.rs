@@ -18,6 +18,7 @@ pub mod driver;
 pub mod index;
 pub mod metrics;
 pub mod sweep;
+pub mod watchdog;
 
 pub use args::{default_thread_sweep, Args};
 pub use driver::{load, percentile, run, run_batched, run_metrics, RunResult};

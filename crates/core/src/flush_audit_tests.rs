@@ -23,6 +23,7 @@ use riv::RivPtr;
 use crate::config::ListConfig;
 use crate::layout::{next_off_cfg, node_words, val_off, N_LOCK};
 use crate::list::{ListBuilder, UpSkipList};
+use crate::traverse::Descent;
 
 /// The `(pool, line)` audit coordinate of `node + word`.
 fn line_of(l: &UpSkipList, node: RivPtr, word: u64) -> (u32, u64) {
@@ -87,7 +88,7 @@ fn update_flushes_exactly_the_value_line() {
     for k in 1..=16u64 {
         l.insert(k, k);
     }
-    let t = l.traverse(5);
+    let t = l.traverse(5, Descent::Read);
     assert!(t.found());
     let val_line = line_of(&l, t.landing(), val_off(l.config(), t.key_index));
     let hdr_line = line_of(&l, t.landing(), N_LOCK);
@@ -121,7 +122,7 @@ fn remove_flushes_exactly_the_tombstoned_value_line() {
     for k in 1..=16u64 {
         l.insert(k, k);
     }
-    let t = l.traverse(9);
+    let t = l.traverse(9, Descent::Read);
     assert!(t.found());
     let val_line = line_of(&l, t.landing(), val_off(l.config(), t.key_index));
     let hdr_line = line_of(&l, t.landing(), N_LOCK);
@@ -149,7 +150,7 @@ fn fresh_insert_flushes_the_whole_new_node_before_linking() {
     assert_eq!(l.insert(15, 150), None);
     let rec = audit::end();
 
-    let t = l.traverse(15);
+    let t = l.traverse(15, Descent::Read);
     assert!(t.found());
     let new_node = t.landing();
     assert!(

@@ -12,6 +12,7 @@ use crate::config::{KEY_NULL, MIN_USER_KEY, TOMBSTONE};
 use crate::layout::{key_off, val_off};
 use crate::list::UpSkipList;
 use crate::rwlock;
+use crate::traverse::Descent;
 
 /// Iterator over live `(key, value)` pairs, strictly ascending.
 /// Created by [`UpSkipList::iter`] and [`UpSkipList::iter_from`].
@@ -23,6 +24,9 @@ pub struct Iter<'a> {
     floor: u64,
     /// Inclusive upper bound, checked on `keys[0]` before a node is read.
     hi: Option<u64>,
+    /// Pairs still wanted: what is left of `scan`'s limit, unbounded for
+    /// `iter` and `range`.
+    want: usize,
     buffer: Vec<(u64, u64)>,
     idx: usize,
 }
@@ -32,42 +36,46 @@ impl UpSkipList {
     /// atomically (validated against concurrent splits); keys come strictly
     /// ascending, each once, even when pairs move between nodes meanwhile.
     pub fn iter(&self) -> Iter<'_> {
-        self.walk(self.head, KEY_NULL, None)
+        self.walk(self.head, KEY_NULL, None, usize::MAX)
     }
 
     /// As [`UpSkipList::iter`], from the first live key ≥ `from`.
     pub fn iter_from(&self, from: u64) -> Iter<'_> {
-        self.walk_from(from, None)
+        self.walk_from(from, None, usize::MAX)
     }
 
     /// YCSB-style scan: up to `limit` live pairs with keys ≥ `from`,
     /// ascending (workload E's operation).
     pub fn scan(&self, from: u64, limit: usize) -> Vec<(u64, u64)> {
         let mut out = Vec::with_capacity(limit);
-        out.extend(self.iter_from(from).take(limit));
+        out.extend(self.walk_from(from, None, limit));
         out
     }
 
-    /// The walk over `[lo, hi]`, started where the descent for `lo` lands.
-    pub(crate) fn walk_from(&self, lo: u64, hi: Option<u64>) -> Iter<'_> {
-        self.walk(self.traverse(lo.max(MIN_USER_KEY)).landing(), lo, hi)
+    /// The walk over `[lo, hi]` yielding at most `want` pairs, started
+    /// where the descent for `lo` lands.
+    pub(crate) fn walk_from(&self, lo: u64, hi: Option<u64>, want: usize) -> Iter<'_> {
+        let start = self.traverse(lo.max(MIN_USER_KEY), Descent::Read).landing();
+        self.walk(start, lo, hi, want)
     }
 
-    fn walk(&self, node: RivPtr, floor: u64, hi: Option<u64>) -> Iter<'_> {
+    fn walk(&self, node: RivPtr, floor: u64, hi: Option<u64>, want: usize) -> Iter<'_> {
         Iter {
             list: self,
             node,
             floor,
             hi,
+            want,
             buffer: Vec::new(),
             idx: 0,
         }
     }
 
-    /// Validated snapshot of one node's live pairs, sorted, into `pairs`
-    /// (cleared first). The key and value arrays are streamed into
-    /// per-thread buffers, so a scan allocates nothing per node visited.
-    pub(crate) fn snapshot_node(&self, node: RivPtr, pairs: &mut Vec<(u64, u64)>) {
+    /// Validated snapshot of one node's live pairs with keys ≥ `floor`, the
+    /// `want` smallest of them, sorted, into `pairs` (cleared first). The
+    /// key and value arrays are streamed into per-thread buffers, so a scan
+    /// allocates nothing per node visited.
+    fn snapshot_node(&self, node: RivPtr, floor: u64, want: usize, pairs: &mut Vec<(u64, u64)>) {
         thread_local! {
             /// Key and value arrays of the one node a thread is reading.
             static NODE: RefCell<(Vec<u64>, Vec<u64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
@@ -96,10 +104,19 @@ impl UpSkipList {
             pairs.clear();
             let live = keys.iter().zip(vals.iter());
             pairs.extend(
-                live.filter(|&(&k, &v)| k != KEY_NULL && v != TOMBSTONE)
+                live.filter(|&(&k, &v)| k != KEY_NULL && k >= floor && v != TOMBSTONE)
                     .map(|(&k, &v)| (k, v)),
             );
         });
+        // Keys are unordered inside a node (§4.4), so whatever is returned
+        // must be sorted — but only that. Dropping the larger pairs is safe
+        // because the walk never leaves a node it truncated: a validated
+        // snapshot holds each key once, every kept pair is ≥ `floor` and so
+        // is yielded, and the `want`-th yield ends the walk in this node.
+        if want < pairs.len() {
+            pairs.select_nth_unstable(want);
+            pairs.truncate(want);
+        }
         pairs.sort_unstable();
     }
 }
@@ -109,25 +126,27 @@ impl Iterator for Iter<'_> {
 
     fn next(&mut self) -> Option<(u64, u64)> {
         loop {
-            while let Some(&(k, v)) = self.buffer.get(self.idx) {
+            if let Some(&(k, v)) = self.buffer.get(self.idx) {
                 self.idx += 1;
                 if self.hi.is_some_and(|hi| k > hi) {
                     self.node = self.list.tail; // sorted: nothing more is wanted
                     return None;
                 }
-                if k >= self.floor {
-                    self.floor = k + 1;
-                    return Some((k, v));
-                }
+                // The snapshot held only keys ≥ the floor, ascending.
+                self.floor = k + 1;
+                self.want -= 1;
+                return Some((k, v));
             }
-            if self.node == self.list.tail
+            if self.want == 0
+                || self.node == self.list.tail
                 || self.hi.is_some_and(|hi| self.list.key0(self.node) > hi)
             {
                 return None;
             }
             // The head (a start below every key) holds no pairs: step past.
             if self.node != self.list.head {
-                self.list.snapshot_node(self.node, &mut self.buffer);
+                self.list
+                    .snapshot_node(self.node, self.floor, self.want, &mut self.buffer);
                 self.idx = 0;
             }
             self.node = self.list.next(self.node, 0);
@@ -137,7 +156,31 @@ impl Iterator for Iter<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ListBuilder, ListConfig};
+    use std::collections::BTreeMap;
+
+    use crate::{ListBuilder, ListConfig, UpSkipList};
+
+    /// Multiples of 3 in a scattered insert order (so nodes split), every
+    /// seventh removed again (so nodes hold tombstones), mirrored in a map.
+    fn loaded(kpn: usize) -> (std::sync::Arc<UpSkipList>, BTreeMap<u64, u64>) {
+        let l = ListBuilder {
+            list: ListConfig::new(10, kpn),
+            ..ListBuilder::default()
+        }
+        .create();
+        let mut oracle = BTreeMap::new();
+        let n = kpn as u64 * 12;
+        for i in 0..n {
+            let k = 3 * (1 + (i * 7_919) % n);
+            l.insert(k, k + 1);
+            oracle.insert(k, k + 1);
+        }
+        for k in (21..=3 * n).step_by(21) {
+            l.remove(k);
+            oracle.remove(&k);
+        }
+        (l, oracle)
+    }
 
     #[test]
     fn iter_yields_all_live_pairs_in_order() {
@@ -229,5 +272,104 @@ mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn scan_matches_a_btreemap_for_every_limit_and_start() {
+        for kpn in [16usize, 256] {
+            let (l, oracle) = loaded(kpn);
+            let max = *oracle.keys().last().unwrap();
+            let limits = [1, 7, kpn / 2, kpn, oracle.len() + 10];
+            // Starts on each node's first key, just past it, and on the
+            // last key the node can hold: short scans end in the landing
+            // node, longer ones in the next; then the list's ends.
+            let mut froms = vec![0, 1, max, max + 1, max + 1000];
+            let mut node = l.next(l.head(), 0);
+            while node != l.tail() {
+                let succ = l.next(node, 0);
+                let k0 = l.key0(node);
+                froms.extend([k0, k0 + 1, l.key0(succ).min(max + 2) - 1]);
+                node = succ;
+            }
+            assert!(l.node_count() > 8, "{kpn} keys/node: too few nodes");
+            for &from in &froms {
+                for &limit in &limits {
+                    let want: Vec<(u64, u64)> = oracle
+                        .range(from..)
+                        .take(limit)
+                        .map(|(&k, &v)| (k, v))
+                        .collect();
+                    assert_eq!(
+                        l.scan(from, limit),
+                        want,
+                        "{kpn} keys/node: scan({from}, {limit})"
+                    );
+                }
+            }
+            assert!(l.scan(max + 1, 5).is_empty());
+            assert!(l.scan(1, 0).is_empty());
+        }
+    }
+
+    #[test]
+    fn short_scans_under_concurrent_splits_are_ascending_and_complete() {
+        for kpn in [16usize, 256] {
+            let l = ListBuilder {
+                list: ListConfig::new(10, kpn),
+                ..ListBuilder::default()
+            }
+            .create();
+            // Pre-existing keys are the multiples of 4; the writer fills
+            // the gaps in a scattered order, splitting the nodes the
+            // readers scan.
+            let n = kpn as u64 * 16;
+            for k in (4..=n).step_by(4) {
+                l.insert(k, 1);
+            }
+            let limit = kpn / 4 + 1; // below any node's occupancy
+            let done = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    pmem::thread::register(1, 0);
+                    for i in 0..n {
+                        let k = 1 + (i * 337) % n;
+                        if !k.is_multiple_of(4) {
+                            l.insert(k, 1);
+                        }
+                    }
+                    done.store(true, std::sync::atomic::Ordering::Release);
+                });
+                pmem::thread::register(0, 0);
+                let mut x = 0x9E37_79B9u64;
+                let mut rounds = 0;
+                while rounds < 200 || !done.load(std::sync::atomic::Ordering::Acquire) {
+                    rounds += 1;
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let from = 1 + (x >> 33) % n;
+                    let got: Vec<u64> = l.scan(from, limit).iter().map(|&(k, _)| k).collect();
+                    assert!(
+                        got.windows(2).all(|w| w[0] < w[1]),
+                        "{kpn} keys/node: scan({from}, {limit}) not strictly ascending: {got:?}"
+                    );
+                    assert!(got.first().is_none_or(|&k| k >= from));
+                    // Every pre-existing key up to the last one returned —
+                    // or to the end, when the scan came back short.
+                    let last = if got.len() == limit {
+                        *got.last().unwrap()
+                    } else {
+                        n
+                    };
+                    for k in (from.div_ceil(4) * 4..=last).step_by(4) {
+                        assert!(
+                            got.binary_search(&k).is_ok(),
+                            "{kpn} keys/node: scan({from}, {limit}) missed key {k}: {got:?}"
+                        );
+                    }
+                }
+            });
+            l.check_invariants();
+        }
     }
 }

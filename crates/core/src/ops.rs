@@ -9,7 +9,7 @@ use crate::config::{KEY_NULL, MAX_HEIGHT, MAX_USER_KEY, MIN_USER_KEY, TOMBSTONE}
 use crate::layout::{key_off, next_off_cfg, node_words, val_off, N_SPLIT_COUNT};
 use crate::list::UpSkipList;
 use crate::rwlock;
-use crate::traverse::KEY_BUF;
+use crate::traverse::{Descent, KEY_BUF};
 
 /// Outcome of an attempt to place a key into an existing node.
 enum InsertStatus {
@@ -42,7 +42,7 @@ impl UpSkipList {
         );
         assert!(value != TOMBSTONE, "value {value} reserved (tombstone)");
         loop {
-            let t = self.traverse_for_insert(key);
+            let t = self.traverse(key, Descent::Write);
             if t.found() {
                 let node = t.landing();
                 if !self.ensure_current_epoch(node) {
@@ -109,7 +109,7 @@ impl UpSkipList {
             "key {key} reserved"
         );
         loop {
-            let t = self.traverse(key);
+            let t = self.traverse(key, Descent::Read);
             if !t.found() {
                 // Validate the absent outcome as in Function 9's extension
                 // (see `search_raw`): a concurrent split may have moved the
@@ -160,7 +160,7 @@ impl UpSkipList {
     /// linearizable range queries as future work (Chapter 7).
     pub fn range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
         assert!(lo <= hi);
-        self.walk_from(lo, Some(hi)).collect()
+        self.walk_from(lo, Some(hi), usize::MAX).collect()
     }
 
     /// Count live keys (diagnostic; quiescent use only).
@@ -351,7 +351,7 @@ impl UpSkipList {
                 // Uncached: a stale shadow could re-serve the very arrays
                 // this CAS just rejected, livelocking the retry loop.
                 self.stats.cas_retry();
-                let t = self.traverse_uncached(self.key0(node));
+                let t = self.traverse(self.key0(node), Descent::Uncached);
                 debug_assert!(t.found(), "node vanished while building its tower");
                 *preds = t.preds;
                 *succs = t.succs;

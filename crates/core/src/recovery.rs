@@ -21,6 +21,7 @@ use crate::config::{KEY_NULL, TOMBSTONE};
 use crate::layout::{key_off, node_words, val_off, N_EPOCH};
 use crate::list::UpSkipList;
 use crate::rwlock;
+use crate::traverse::Descent;
 
 thread_local! {
     /// Bounds recursion: completing a tower re-traverses, which may claim
@@ -231,7 +232,7 @@ impl UpSkipList {
         let h = self.height(node);
         // Uncached: the link CASes below must be positioned against the
         // persistent neighborhood, not a stale shadow image.
-        let t = self.traverse_uncached(k0);
+        let t = self.traverse(k0, Descent::Uncached);
         if !t.found() || t.landing() != node {
             // The node is not (or no longer) the one holding k0; nothing to
             // complete from here.
@@ -279,7 +280,7 @@ mod tests {
     fn stale_write_lock_is_released_by_recovery() {
         let l = small_list();
         l.insert(10, 100);
-        let t = l.traverse(10);
+        let t = l.traverse(10, Descent::Read);
         let node = t.landing();
         // A thread died holding the split lock in the previous epoch.
         assert!(rwlock::try_write_lock(l.space(), node));
@@ -293,7 +294,7 @@ mod tests {
     fn stale_reader_count_is_drained() {
         let l = small_list();
         l.insert(10, 100);
-        let node = l.traverse(10).landing();
+        let node = l.traverse(10, Descent::Read).landing();
         assert!(rwlock::try_read_lock(l.space(), node));
         assert!(rwlock::try_read_lock(l.space(), node));
         l.recover();
@@ -329,7 +330,7 @@ mod tests {
         for k in [10u64, 20, 30, 40] {
             l.insert(k, k);
         }
-        let node = l.traverse(10).landing();
+        let node = l.traverse(10, Descent::Read).landing();
         // Stale write lock as left by a crashed split (nothing moved yet).
         assert!(rwlock::try_write_lock(l.space(), node));
         l.recover();
@@ -351,7 +352,7 @@ mod tests {
         for k in [10u64, 20, 30, 40] {
             l.insert(k, k * 10);
         }
-        let node = l.traverse(10).landing();
+        let node = l.traverse(10, Descent::Read).landing();
         // Crash state one step further than `interrupted_split_is_completed`:
         // the link CAS *and* the split counter are durable, the moved-key
         // erasure is not. The old node still holds the moved keys (beyond
@@ -390,7 +391,7 @@ mod tests {
         for k in [10u64, 20, 30, 40] {
             l.insert(k, k * 10);
         }
-        let node = l.traverse(10).landing();
+        let node = l.traverse(10, Descent::Read).landing();
         // Hand-craft the crash state of Function 20 just after the link CAS
         // (line 255): new node linked and holding the upper half, old node
         // still holding every key, write lock held, split count bumped.

@@ -226,8 +226,9 @@ impl UpSkipList {
         f()
     }
 
-    /// Consult the shadow for `key`: fill `preds`/`succs` for every
-    /// mirrored level and return where the persistent descent may resume.
+    /// Consult the shadow for `key`: fill `preds`/`succs` for the image's
+    /// base level — and, with `fill_upper`, for every mirrored level above
+    /// it — and return where the persistent descent may resume.
     /// `None` means miss (discarded, contended, wrong epoch, or the start
     /// predecessor failed header validation) — the caller walks from the
     /// head as usual.
@@ -236,6 +237,7 @@ impl UpSkipList {
         key: u64,
         epoch: u64,
         sgen: u64,
+        fill_upper: bool,
         preds: &mut [RivPtr; MAX_HEIGHT],
         succs: &mut [RivPtr; MAX_HEIGHT],
     ) -> Option<ShadowStart> {
@@ -254,7 +256,8 @@ impl UpSkipList {
                 if img.epoch != epoch || img.min_level > top {
                     None
                 } else {
-                    Some(self.fill_from_image(&img, key, top, sgen, preds, succs))
+                    let highest = if fill_upper { top } else { img.min_level };
+                    Some(self.fill_from_image(&img, key, highest, sgen, preds, succs))
                 }
             };
             match filled {
@@ -317,11 +320,16 @@ impl UpSkipList {
     /// Fill the traversal arrays from a valid image. Returns the start
     /// position, whether the landing region was imaged at `sgen`, and the
     /// region index (for the refresh on staleness).
+    ///
+    /// Levels `min_level..=highest` are searched. A reader passes the base
+    /// level alone: the start predecessor, the step-in and the region stamp
+    /// all come from it. A writer passes the top level, because its split
+    /// or new node links its tower against the levels above.
     fn fill_from_image(
         &self,
         img: &ShadowImage,
         key: u64,
-        top: usize,
+        highest: usize,
         sgen: u64,
         preds: &mut [RivPtr; MAX_HEIGHT],
         succs: &mut [RivPtr; MAX_HEIGHT],
@@ -335,7 +343,7 @@ impl UpSkipList {
             step_level: None,
         };
         let mut region = 0usize;
-        for level in (img.min_level..=top).rev() {
+        for level in (img.min_level..=highest).rev() {
             let v = &img.levels[level];
             let pp = v.partition_point(|e| e.key0 <= key);
             let (pred, pred_k0) = if pp == 0 {

@@ -23,18 +23,46 @@ thread_local! {
     pub(crate) static KEY_BUF: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
+/// What a descent fills in its [`Traversal`], and whether it consults the
+/// index image on the way.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Descent {
+    /// A reader's descent (get, remove, the start of a walk): it needs only
+    /// the node that holds the key (Function 9), so its image consult
+    /// searches the image's base level alone and fills `preds`/`succs` from
+    /// there down. The levels above stay NULL unless the image missed and
+    /// the walk came down them from the head.
+    Read,
+    /// The insert path's descent: every level, because a split or a new
+    /// node links its tower against the `preds`/`succs` above `landing()`.
+    /// On a tagged list a miss among the internal keys is returned
+    /// *unproven*: `insert_into_existing` streams the node's key array
+    /// under the read lock anyway and is the one place an insert decides
+    /// presence.
+    Write,
+    /// Every level from the persistent list, never the image. Link-CAS
+    /// retry loops (`link_higher_levels`) and tower completion re-traverse
+    /// to refresh their predecessor arrays, and must observe the persistent
+    /// neighborhood: a stale image could hand back the same failed CAS
+    /// expectations forever.
+    Uncached,
+}
+
 /// Result of a traversal: per-level predecessors/successors, plus where the
 /// key was found, if anywhere.
 ///
-/// A *not-found* traversal fills every level of both arrays. A *found* one
-/// guarantees `landing()`, `key_index`, `split_count` and, above
-/// `level_found`, the `preds`/`succs` the walk ended on (tower building
-/// links against those) — plus `preds[0]` whenever the descent reached, or
-/// the index image mirrors, the bottom level. From `level_found` down
-/// `succs` are meaningful only when `!found()`: a hit returns the moment
-/// the key is seen, so a successor there may be unread (NULL) or an
-/// unvalidated image hint. Either way [`Traversal::landing`] is where the
-/// descent ended, and a range walk starts: the node whose range holds the key.
+/// A *not-found* [`Descent::Write`] or [`Descent::Uncached`] traversal
+/// fills every level of both arrays; a [`Descent::Read`] one guarantees the
+/// levels from the image's base level down. A *found* one guarantees
+/// `landing()`, `key_index`, `split_count` and — for the two full kinds —
+/// above `level_found`, the `preds`/`succs` the walk ended on (tower
+/// building links against those), plus `preds[0]` whenever the descent
+/// reached, or the index image mirrors, the bottom level. From
+/// `level_found` down `succs` are meaningful only when `!found()`: a hit
+/// returns the moment the key is seen, so a successor there may be unread
+/// (NULL) or an unvalidated image hint. Either way [`Traversal::landing`]
+/// is where the descent ended, and a range walk starts: the node whose
+/// range holds the key.
 pub(crate) struct Traversal {
     pub preds: [RivPtr; MAX_HEIGHT],
     pub succs: [RivPtr; MAX_HEIGHT],
@@ -71,32 +99,6 @@ impl UpSkipList {
         self.stats.prefetch_issue();
     }
 
-    /// Function 7. On success the *containing* node is recorded as
-    /// `preds[level_found]` (for a `keys[0]` hit the traversal steps into
-    /// the node first), so callers address one node uniformly.
-    pub(crate) fn traverse(&self, key: u64) -> Traversal {
-        self.traverse_impl(key, true, true)
-    }
-
-    /// The writer's descent: Function 7 to the containing node, then — on a
-    /// tagged list — the tag probe alone. A verified hit is reported like
-    /// any other; a miss is returned as "not found" *unproven*, because
-    /// `insert_into_existing` streams the node's key array under the read
-    /// lock anyway and is the one place an insert decides presence. Lists
-    /// without tags run [`UpSkipList::traverse`] operation for operation.
-    pub(crate) fn traverse_for_insert(&self, key: u64) -> Traversal {
-        self.traverse_impl(key, true, false)
-    }
-
-    /// Traverse without consulting the index shadow. Link-CAS retry loops
-    /// (`link_higher_levels`) and tower-completion recovery re-traverse to
-    /// refresh their predecessor arrays — those re-traversals must observe
-    /// the *persistent* neighborhood, or a stale shadow could hand back the
-    /// same failed CAS expectations forever.
-    pub(crate) fn traverse_uncached(&self, key: u64) -> Traversal {
-        self.traverse_impl(key, false, true)
-    }
-
     /// One streamed line covers epoch, lock, split count and `keys[0]` — the
     /// cache-line co-location of §4.4 that makes the recovery check free
     /// during traversal. On a tagged list the line is loaded highest word
@@ -118,11 +120,17 @@ impl UpSkipList {
         hdr
     }
 
-    /// `prove_absence`: whether a miss among the internal keys must be
-    /// backed by the streamed scan (every caller but the insert path).
-    fn traverse_impl(&self, key: u64, cached: bool, prove_absence: bool) -> Traversal {
+    /// Function 7. On success the *containing* node is recorded as
+    /// `preds[level_found]` (for a `keys[0]` hit the traversal steps into
+    /// the node first), so callers address one node uniformly. `descent`
+    /// says which levels to fill and whether the index image is consulted.
+    pub(crate) fn traverse(&self, key: u64, descent: Descent) -> Traversal {
         let top = self.cfg.max_height - 1;
         let mut recoveries_done = 0u32;
+        // Whether the image consult fills the levels above its base one.
+        // A reader that meets a node from a dead epoch turns it on and
+        // restarts: the tower repair needs the level above the claim.
+        let mut fill_upper = descent != Descent::Read;
         'outer: loop {
             let epoch = self.epoch();
             // One structure-generation load validates the shadow region for
@@ -149,14 +157,17 @@ impl UpSkipList {
                     };
                 }};
             }
-            // Index-shadow consult: resolve levels `min_level..=top` in
-            // DRAM, validate the landing predecessor's header once, and
-            // resume the persistent descent just below the mirrored range
-            // (on its bottom level when that is level 0). The bottom level
-            // stays the sole persistent source of truth — the walk below
+            // Index-shadow consult: resolve the base level `min_level` in
+            // DRAM (and, with `fill_upper`, every level above it), validate
+            // the landing predecessor's header once, and resume the
+            // persistent descent just below the mirrored range (on its
+            // bottom level when that is level 0). The bottom level stays
+            // the sole persistent source of truth — the walk below
             // revalidates everything the shadow claimed.
-            if cached && self.cfg.shadow && top >= 1 {
-                if let Some(s) = self.shadow_position(key, epoch, sgen, &mut preds, &mut succs) {
+            if descent != Descent::Uncached && self.cfg.shadow && top >= 1 {
+                let filled =
+                    self.shadow_position(key, epoch, sgen, fill_upper, &mut preds, &mut succs);
+                if let Some(s) = filled {
                     split_count = s.split_count;
                     pred = s.pred;
                     pred_locked = s.write_locked;
@@ -209,6 +220,14 @@ impl UpSkipList {
                     debug_assert!(!cur.is_null(), "broken level {level}");
                     let mut hdr = self.read_header(cur);
                     if hdr[crate::layout::N_EPOCH as usize] != epoch {
+                        if level < top && preds[level + 1].is_null() {
+                            // A reader's consult left the level above
+                            // unfilled, and Function 12's tower check reads
+                            // it: redo this descent on every level. Only a
+                            // crash leaves such a node.
+                            fill_upper = true;
+                            continue 'outer;
+                        }
                         if self.check_for_recovery(level, cur, &preds, &succs, recoveries_done) {
                             recoveries_done += 1;
                             continue 'outer;
@@ -262,7 +281,7 @@ impl UpSkipList {
                     // so its lines are requested now.
                     let hit = if !probing {
                         self.scan_linear(pred, key)
-                    } else if prove_absence {
+                    } else if descent != Descent::Write {
                         self.stats.tag_fallback();
                         self.scan_linear(pred, key)
                     } else {
@@ -354,7 +373,7 @@ impl UpSkipList {
     /// a stale-empty-read window our linearizability analyzer caught.
     pub(crate) fn search_raw(&self, key: u64) -> Option<u64> {
         loop {
-            let t = self.traverse(key);
+            let t = self.traverse(key, Descent::Read);
             if !t.found() {
                 let landing = t.landing();
                 if landing != self.head && !self.node_unsplit_since(landing, t.split_count) {

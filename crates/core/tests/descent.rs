@@ -1,9 +1,14 @@
 //! Point operations through the one descent path (index shadow, then the
 //! persistent levels) stay correct while the nodes they land on split,
-//! lose keys, get reclaimed or pass through a recovery.
+//! lose keys, get reclaimed or pass through a recovery. A reader's descent
+//! consults only the image's base level; the writer's fills every level,
+//! and the towers it builds must come out whole either way.
 
 use std::sync::Arc;
 
+use pmem::{run_crashable, CrashPlan, PersistenceMode};
+use riv::RivPtr;
+use upskiplist::layout::{key_off, next_off_cfg, N_HEIGHT};
 use upskiplist::{ListBuilder, ListConfig, UpSkipList};
 
 fn small_list() -> Arc<UpSkipList> {
@@ -123,4 +128,133 @@ fn concurrent_mixed_ops_match_oracle() {
         }
     }
     l.check_invariants();
+}
+
+fn next(list: &UpSkipList, node: RivPtr, level: usize) -> RivPtr {
+    let off = next_off_cfg(list.config(), level);
+    RivPtr::from_raw(list.space().read(node.add(off as u32)))
+}
+
+/// `keys[0]` of every node missing from a level below its height
+/// (quiescent use only).
+fn incomplete_towers(list: &UpSkipList) -> Vec<u64> {
+    let key0 = |node: RivPtr| {
+        list.space()
+            .read(node.add(key_off(list.config(), 0) as u32))
+    };
+    let mut linked = std::collections::HashSet::new();
+    for level in 1..list.config().max_height {
+        let mut cur = next(list, list.head(), level);
+        while cur != list.tail() {
+            linked.insert((cur, level));
+            cur = next(list, cur, level);
+        }
+    }
+    let mut torn = Vec::new();
+    let mut cur = next(list, list.head(), 0);
+    while cur != list.tail() {
+        let height = list.space().read(cur.add(N_HEIGHT as u32)) as usize;
+        if (1..height).any(|level| !linked.contains(&(cur, level))) {
+            torn.push(key0(cur));
+        }
+        cur = next(list, cur, 0);
+    }
+    torn
+}
+
+#[test]
+fn inserts_after_reader_descents_build_whole_towers() {
+    for kpn in [16usize, 256] {
+        let l = ListBuilder {
+            list: ListConfig::new(12, kpn),
+            ..ListBuilder::default()
+        }
+        .create();
+        let n = kpn as u64 * 8;
+        for k in 1..=n {
+            l.insert(k * 16, k);
+        }
+        // Warm the image with reader descents, then split every node
+        // several times over with keys between the loaded ones, a get
+        // after each insert keeping the image in use.
+        for k in 1..=n {
+            assert_eq!(l.get(k * 16), Some(k));
+        }
+        let splits0 = l.struct_metrics().node_splits;
+        for i in 0..n * 4 {
+            let k = 1 + (i * 7_919) % (n * 16);
+            if !k.is_multiple_of(16) {
+                l.insert(k, k);
+                assert_eq!(l.get(k), Some(k), "{kpn} keys/node: key {k}");
+            }
+        }
+        assert!(
+            l.struct_metrics().node_splits > splits0 + n / kpn as u64,
+            "{kpn} keys/node: too few splits"
+        );
+        l.check_invariants();
+        assert_eq!(
+            incomplete_towers(&l),
+            Vec::<u64>::new(),
+            "{kpn} keys/node: nodes missing from their own levels"
+        );
+        for k in 1..=n {
+            assert_eq!(l.get(k * 16), Some(k));
+        }
+    }
+}
+
+/// A crash after a split has published its new node on level 0 but before
+/// the node's tower is linked: gets alone must finish the tower, through
+/// the recovery claim a reader's descent makes when it meets the node.
+#[test]
+fn gets_complete_a_tower_a_crash_cut_short() {
+    pmem::crash::silence_crash_panics();
+    for kpn in [16usize, 256] {
+        let mut repaired = 0;
+        for crash_after in 1u64.. {
+            let l = ListBuilder {
+                list: ListConfig::new(10, kpn),
+                pool_words: 1 << 20,
+                mode: PersistenceMode::Tracked,
+                ..ListBuilder::default()
+            }
+            .create();
+            let keys: Vec<u64> = (1..=kpn as u64).map(|k| k * 10).collect();
+            for &k in &keys {
+                l.insert(k, k);
+            }
+            l.sync();
+            assert_eq!(l.node_count(), 1);
+            assert_eq!(l.get(keys[0]), Some(keys[0]));
+            let ctl = Arc::clone(l.space().pool(0).crash_controller());
+            ctl.arm_after(crash_after);
+            let done = run_crashable(|| l.insert(15, 15)).is_ok();
+            ctl.disarm();
+            if done || repaired == 16 {
+                break; // past the split's last crash point, or seen enough
+            }
+            for p in l.space().pools() {
+                p.simulate_crash_with(CrashPlan::DropAll);
+            }
+            pmem::discard_pending();
+            l.recover();
+            if l.node_count() < 2 || incomplete_towers(&l).is_empty() {
+                continue; // not between the level-0 link and the tower
+            }
+            // Gets only, present and absent keys, in ascending order.
+            for &k in &keys {
+                assert_eq!(l.get(k), Some(k), "{kpn} keys/node, crash@{crash_after}");
+                assert_eq!(l.get(k + 1), None);
+            }
+            assert_eq!(
+                incomplete_towers(&l),
+                Vec::<u64>::new(),
+                "{kpn} keys/node, crash@{crash_after}: gets left a tower unfinished"
+            );
+            l.check_invariants();
+            repaired += 1;
+        }
+        assert!(repaired > 0, "{kpn} keys/node: no crash cut a tower short");
+    }
 }

@@ -209,11 +209,23 @@ pub(crate) fn worker_loop(shard: Arc<ShardState>, worker_id: usize, max_batch: u
 /// the list itself serializes it), puts and deletes through
 /// `insert_batch`/`remove_batch` under a point-set latch so they
 /// serialize against multi-key writers touching the same keys.
+///
+/// Group commit: a batch that wrote calls `sync` once, and only then
+/// completes its put and delete tickets and fills its `MultiPut` slices,
+/// so an acknowledged write survives a crash. The list defers the fence of
+/// some links (a new head successor's, a tower's) to the writer's next
+/// operation or `sync`; without this one the last write a worker made
+/// before going idle could be acked and still be lost. Gets, multi-gets
+/// and scans complete as soon as they are answered.
 fn execute(shard: &ShardState, tasks: impl Iterator<Item = Task>) {
     let list = &shard.list;
     let mut gets: Vec<(u64, Completion)> = Vec::new();
     let mut puts: Vec<(u64, u64, Completion)> = Vec::new();
     let mut dels: Vec<(u64, Completion)> = Vec::new();
+    // `MultiPut` slices applied but not yet durable: (aggregator, input
+    // positions, previous values).
+    type Slice = (Arc<GatherAgg>, Vec<usize>, Vec<Option<u64>>);
+    let mut multi_puts: Vec<Slice> = Vec::new();
 
     for t in tasks {
         match t {
@@ -240,7 +252,7 @@ fn execute(shard: &ShardState, tasks: impl Iterator<Item = Task>) {
                     .acquire(&point_ranges(kvs.iter().map(|&(k, _)| k)));
                 let prevs = list.insert_batch(&kvs);
                 let pos: Vec<usize> = pairs.iter().map(|&(p, _, _)| p).collect();
-                agg.fill(&pos, prevs);
+                multi_puts.push((agg, pos, prevs));
             }
         }
     }
@@ -252,22 +264,33 @@ fn execute(shard: &ShardState, tasks: impl Iterator<Item = Task>) {
             done.complete(Response::Value(v));
         }
     }
-    if !puts.is_empty() {
+    let wrote = !(puts.is_empty() && dels.is_empty() && multi_puts.is_empty());
+    let put_prevs = if puts.is_empty() {
+        Vec::new()
+    } else {
         let kvs: Vec<(u64, u64)> = puts.iter().map(|&(k, v, _)| (k, v)).collect();
         let _g = shard
             .latches
             .acquire(&point_ranges(kvs.iter().map(|&(k, _)| k)));
-        let prevs = list.insert_batch(&kvs);
-        for ((_, _, done), v) in puts.into_iter().zip(prevs) {
-            done.complete(Response::Value(v));
-        }
-    }
-    if !dels.is_empty() {
+        list.insert_batch(&kvs)
+    };
+    let del_prevs = if dels.is_empty() {
+        Vec::new()
+    } else {
         let ks: Vec<u64> = dels.iter().map(|&(k, _)| k).collect();
         let _g = shard.latches.acquire(&point_ranges(ks.iter().copied()));
-        let prevs = list.remove_batch(&ks);
-        for ((_, done), v) in dels.into_iter().zip(prevs) {
-            done.complete(Response::Value(v));
-        }
+        list.remove_batch(&ks)
+    };
+    if wrote {
+        list.sync();
+    }
+    for ((_, _, done), v) in puts.into_iter().zip(put_prevs) {
+        done.complete(Response::Value(v));
+    }
+    for ((_, done), v) in dels.into_iter().zip(del_prevs) {
+        done.complete(Response::Value(v));
+    }
+    for (agg, pos, prevs) in multi_puts {
+        agg.fill(&pos, prevs);
     }
 }
