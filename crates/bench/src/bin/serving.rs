@@ -26,7 +26,7 @@
 //!
 //! Emits CSV rows `mode,shards,load,mops,p50_ns,p95_ns,p99_ns` on stdout
 //! plus the full metrics report (per-shard queue depth, batch occupancy,
-//! latch waits) to `--json`/`--csv`. `--gate` exits nonzero unless the
+//! latch waits, worker parks per 1 K requests) to `--json`/`--csv`. `--gate` exits nonzero unless the
 //! max-shard closed-loop throughput beats the 1-shard baseline by
 //! `--gate-ratio` (default 1.8; 1.3 with `--smoke`).
 
@@ -175,10 +175,15 @@ fn push_shard_metrics(report: &mut MetricsReport, svc: &KvService, shards: u16) 
     let structure = format!("s{shards}");
     for i in 0..shards as usize {
         let op = format!("shard{i}");
-        for c in ["enqueued", "batches", "batch_ops", "latch_waits"] {
+        for c in ["enqueued", "batches", "batch_ops", "latch_waits", "parks"] {
             let v = snap.counter(&format!("svc.shard{i}.{c}"));
             report.push(&structure, &op, c, v as f64);
         }
+        // Times a worker went to sleep per 1 K requests it was handed (a
+        // multi-shard request counts once on every shard it reaches).
+        let parks = snap.counter(&format!("svc.shard{i}.parks")) as f64;
+        let reqs = snap.counter(&format!("svc.shard{i}.enqueued")).max(1) as f64;
+        report.push(&structure, &op, "parks_per_kreq", parks / reqs * 1e3);
         for h in ["queue_depth", "batch_occupancy"] {
             if let Some(hs) = snap.hists.get(&format!("svc.shard{i}.{h}")) {
                 let s = hs.summary();

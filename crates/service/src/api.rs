@@ -9,7 +9,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use obs::{Counter, Histogram};
+use obs::{Counter, Histogram, Registry};
+
+use crate::YIELD_BUDGET;
 
 /// One client request. Multi-key requests may span shards; each shard's
 /// slice executes atomically on that shard, conflict-serialized by the
@@ -42,15 +44,37 @@ pub enum Response {
     Entries(Vec<(u64, u64)>),
 }
 
+/// The two service-wide metrics every completion records into:
+/// `svc.lat.request` (submit → complete latency) and `svc.completed`.
+/// Each shard holds one clone and the service one more; the registry
+/// hands out one instance per name, so all of them count into the same
+/// metric, and no ticket carries a handle.
+pub(crate) struct CompletionMetrics {
+    pub lat: Arc<Histogram>,
+    pub completed: Arc<Counter>,
+}
+
+impl CompletionMetrics {
+    pub fn new(reg: &Registry) -> Self {
+        Self {
+            lat: reg.histogram("svc.lat.request"),
+            completed: reg.counter("svc.completed"),
+        }
+    }
+}
+
+struct Slot {
+    response: Option<Response>,
+    /// Set by a waiter, under the slot lock, just before it waits on the
+    /// condvar; `complete` signals only when it is set.
+    sleeping: bool,
+}
+
 pub(crate) struct TicketInner {
-    slot: Mutex<Option<Response>>,
+    slot: Mutex<Slot>,
     cv: Condvar,
     filled: AtomicBool,
     submitted: Instant,
-    /// Request-completion latency sink (`svc.lat.request`).
-    lat: Option<Arc<Histogram>>,
-    /// Global completion counter (`svc.completed`).
-    completed: Option<Arc<Counter>>,
 }
 
 /// The client half of a submitted request.
@@ -66,17 +90,15 @@ pub(crate) struct Completion {
     inner: Arc<TicketInner>,
 }
 
-pub(crate) fn ticket(
-    lat: Option<Arc<Histogram>>,
-    completed: Option<Arc<Counter>>,
-) -> (Ticket, Completion) {
+pub(crate) fn ticket() -> (Ticket, Completion) {
     let inner = Arc::new(TicketInner {
-        slot: Mutex::new(None),
+        slot: Mutex::new(Slot {
+            response: None,
+            sleeping: false,
+        }),
         cv: Condvar::new(),
         filled: AtomicBool::new(false),
         submitted: Instant::now(),
-        lat,
-        completed,
     });
     (
         Ticket {
@@ -87,13 +109,22 @@ pub(crate) fn ticket(
 }
 
 impl Ticket {
-    /// Block until the response arrives and take it.
+    /// Block until the response arrives and take it. Yields a few times
+    /// (`YIELD_BUDGET`), polling `filled` without the lock, before it
+    /// parks on the ticket's condvar.
     pub fn wait(self) -> Response {
+        for _ in 0..YIELD_BUDGET {
+            if self.inner.filled.load(Ordering::Acquire) {
+                break;
+            }
+            std::thread::yield_now();
+        }
         let mut slot = self.inner.slot.lock().unwrap();
         loop {
-            if let Some(r) = slot.take() {
+            if let Some(r) = slot.response.take() {
                 return r;
             }
+            slot.sleeping = true;
             slot = self.inner.cv.wait(slot).unwrap();
         }
     }
@@ -105,26 +136,32 @@ impl Ticket {
         if !self.inner.filled.load(Ordering::Acquire) {
             return None;
         }
-        self.inner.slot.lock().unwrap().take()
+        self.inner.slot.lock().unwrap().response.take()
     }
 }
 
 impl Completion {
-    /// Fill the ticket, record its completion latency, and wake the
-    /// waiter. Idempotent: later calls on a filled ticket are ignored.
-    pub(crate) fn complete(&self, r: Response) {
+    /// Fill the ticket, record its completion latency and count it in
+    /// `m`, and wake the waiter if it sleeps. Idempotent: later calls on a
+    /// filled ticket are ignored.
+    pub(crate) fn complete(&self, r: Response, m: &CompletionMetrics) {
         let mut slot = self.inner.slot.lock().unwrap();
         if self.inner.filled.swap(true, Ordering::AcqRel) {
             return;
         }
-        if let Some(h) = &self.inner.lat {
-            h.record(self.inner.submitted.elapsed().as_nanos() as u64);
+        m.lat
+            .record(self.inner.submitted.elapsed().as_nanos() as u64);
+        m.completed.inc();
+        slot.response = Some(r);
+        // The waiter sets `sleeping` under this lock and waits without
+        // releasing it in between, so a waiter that has not set it yet
+        // takes the lock after this fill and finds the response: skipping
+        // the signal cannot lose a wake-up.
+        let wake = slot.sleeping;
+        drop(slot);
+        if wake {
+            self.inner.cv.notify_one();
         }
-        if let Some(c) = &self.inner.completed {
-            c.inc();
-        }
-        *slot = Some(r);
-        self.inner.cv.notify_all();
     }
 }
 
@@ -132,33 +169,54 @@ impl Completion {
 mod tests {
     use super::*;
 
+    fn metrics() -> CompletionMetrics {
+        CompletionMetrics::new(&Registry::new())
+    }
+
     #[test]
     fn ticket_waits_for_completion() {
-        let (t, c) = ticket(None, None);
+        let (t, c) = ticket();
         assert_eq!(t.try_take(), None);
-        c.complete(Response::Value(Some(7)));
+        c.complete(Response::Value(Some(7)), &metrics());
         assert_eq!(t.try_take(), Some(Response::Value(Some(7))));
         assert_eq!(t.try_take(), None, "a response is taken at most once");
     }
 
     #[test]
     fn completion_is_idempotent_and_counts() {
-        let hist = Arc::new(Histogram::new());
-        let done = Arc::new(Counter::new());
-        let (t, c) = ticket(Some(Arc::clone(&hist)), Some(Arc::clone(&done)));
-        c.complete(Response::Value(None));
-        c.complete(Response::Value(Some(1))); // ignored
+        let m = metrics();
+        let (t, c) = ticket();
+        c.complete(Response::Value(None), &m);
+        c.complete(Response::Value(Some(1)), &m); // ignored
         assert_eq!(t.wait(), Response::Value(None));
-        assert_eq!(hist.count(), 1);
-        assert_eq!(done.value(), 1);
+        assert_eq!(m.lat.count(), 1);
+        assert_eq!(m.completed.value(), 1);
+    }
+
+    #[test]
+    fn a_completion_during_the_yield_window_returns() {
+        // Completed while the waiter is still yielding (or before it
+        // starts): it must take the response whether or not it parked.
+        for _ in 0..200 {
+            let (t, c) = ticket();
+            let h = std::thread::spawn(move || t.wait());
+            c.complete(Response::Value(Some(3)), &metrics());
+            assert_eq!(h.join().unwrap(), Response::Value(Some(3)));
+        }
     }
 
     #[test]
     fn wait_blocks_until_another_thread_completes() {
-        let (t, c) = ticket(None, None);
+        let m = metrics();
+        let (t, c) = ticket();
         let h = std::thread::spawn(move || t.wait());
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        c.complete(Response::Values(vec![Some(1), None]));
+        while !c.inner.slot.lock().unwrap().sleeping {
+            std::thread::yield_now();
+        }
+        c.complete(Response::Values(vec![Some(1), None]), &m);
+        c.complete(Response::Value(None), &m); // ignored
         assert_eq!(h.join().unwrap(), Response::Values(vec![Some(1), None]));
+        assert_eq!(m.lat.count(), 1);
+        assert_eq!(m.completed.value(), 1);
     }
 }

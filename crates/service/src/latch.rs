@@ -94,6 +94,13 @@ impl LatchManager {
         self.waits.load(Ordering::Relaxed)
     }
 
+    /// Count a wait without one, for tests of the code that mirrors
+    /// [`LatchManager::waits`].
+    #[cfg(test)]
+    pub(crate) fn count_wait(&self) {
+        self.waits.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshot of every held range, for tests and debugging.
     pub fn held_ranges(&self) -> Vec<Range> {
         let t = self.table.lock().unwrap();

@@ -39,9 +39,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use obs::{Counter, Histogram, Registry};
+use obs::{Counter, Registry};
 use upskiplist::UpSkipList;
 
+use crate::api::CompletionMetrics;
 use crate::shard::{GatherAgg, ScanAgg, ShardState, Task};
 
 /// Tuning knobs for [`KvService::start`].
@@ -85,6 +86,21 @@ fn check_kv(k: u64, v: u64) {
     assert!(v != u64::MAX, "value u64::MAX is the tombstone encoding");
 }
 
+/// How many times a parking candidate — a shard worker facing an empty
+/// queue, or [`Ticket::wait`] on an unfilled ticket — calls
+/// `std::thread::yield_now` before it parks, re-reading the queue length
+/// (or the ticket's `filled` flag) without a lock between yields. With an
+/// idle CPU a yield returns at once and the budget costs a few µs of
+/// polling; on an oversubscribed host it hands the CPU to the thread that
+/// produces the awaited work, which usually saves the futex sleep and
+/// wake-up. Yielding, not spinning: on 2 CPUs a spinning waiter holds the
+/// CPU its producer needs. Swept on the benchmark's `svc_closed` (one
+/// driver, 2 shards, 2 CPUs; 6 seeds, order rotated): budgets 0 / 4 / 16
+/// / 64 gave median 310 / 377 / 391 / 378 K req/s. 4, 16 and 64 are within
+/// the run-to-run spread of one another and 0 is clearly below, so the
+/// smallest is kept: it wastes the least CPU when the work does not come.
+pub(crate) const YIELD_BUDGET: usize = 4;
+
 /// Worker thread ids start past the range bench drivers typically use, so
 /// a driver thread and a shard worker don't share allocator caches or
 /// per-thread buffers (a collision is harmless for correctness, but
@@ -97,10 +113,10 @@ const WORKER_ID_BASE: usize = 64;
 pub struct KvService {
     shards: Vec<Arc<ShardState>>,
     registry: Arc<Registry>,
-    /// End-to-end request latency, submit → complete (`svc.lat.request`).
-    lat: Arc<Histogram>,
+    /// End-to-end request latency, submit → complete (`svc.lat.request`),
+    /// and `svc.completed`: the instances every shard also records into.
+    done: CompletionMetrics,
     submitted: Arc<Counter>,
-    completed: Arc<Counter>,
     req_get: Arc<Counter>,
     req_put: Arc<Counter>,
     req_delete: Arc<Counter>,
@@ -125,9 +141,8 @@ impl KvService {
             .collect();
         let svc = Arc::new(Self {
             shards,
-            lat: registry.histogram("svc.lat.request"),
+            done: CompletionMetrics::new(&registry),
             submitted: registry.counter("svc.submitted"),
-            completed: registry.counter("svc.completed"),
             req_get: registry.counter("svc.req.get"),
             req_put: registry.counter("svc.req.put"),
             req_delete: registry.counter("svc.req.delete"),
@@ -172,7 +187,7 @@ impl KvService {
     pub fn pending(&self) -> u64 {
         self.submitted
             .value()
-            .saturating_sub(self.completed.value())
+            .saturating_sub(self.done.completed.value())
     }
 
     /// Route a request: returns a [`Ticket`] the caller may wait on or
@@ -192,10 +207,7 @@ impl KvService {
             Request::Scan { .. } => {}
         }
         self.submitted.inc();
-        let (ticket, done) = api::ticket(
-            Some(Arc::clone(&self.lat)),
-            Some(Arc::clone(&self.completed)),
-        );
+        let (ticket, done) = api::ticket();
         match req {
             Request::Get(key) => {
                 self.req_get.inc();
@@ -212,7 +224,7 @@ impl KvService {
             Request::Scan { from, limit } => {
                 self.req_scan.inc();
                 if limit == 0 {
-                    done.complete(Response::Entries(Vec::new()));
+                    done.complete(Response::Entries(Vec::new()), &self.done);
                     return ticket;
                 }
                 let agg = Arc::new(ScanAgg::new(self.shards.len(), limit, done));
@@ -224,7 +236,7 @@ impl KvService {
             Request::MultiGet(keys) => {
                 self.req_multi_get.inc();
                 if keys.is_empty() {
-                    done.complete(Response::Values(Vec::new()));
+                    done.complete(Response::Values(Vec::new()), &self.done);
                     return ticket;
                 }
                 let groups = self.group_keys(keys.iter().copied());
@@ -237,7 +249,7 @@ impl KvService {
             Request::MultiPut(pairs) => {
                 self.req_multi_put.inc();
                 if pairs.is_empty() {
-                    done.complete(Response::Values(Vec::new()));
+                    done.complete(Response::Values(Vec::new()), &self.done);
                     return ticket;
                 }
                 // Per-shard slices of (input position, key, value).
@@ -414,5 +426,45 @@ mod tests {
         assert_eq!(total, 32, "every task must be counted by some shard");
         assert_eq!(snap.counter("svc.submitted"), 32);
         assert_eq!(snap.counter("svc.completed"), 32);
+    }
+
+    #[test]
+    fn latch_waits_mirror_is_exact_with_two_workers_per_shard() {
+        const SHARDS: usize = 2;
+        let specs = (0..SHARDS as u16)
+            .map(|i| ShardSpec {
+                list: mini_list(i),
+                node: i,
+            })
+            .collect();
+        let svc = KvService::start(
+            specs,
+            ServiceConfig {
+                workers_per_shard: 2,
+                max_batch: 16,
+                queue_cap: 1024,
+            },
+        );
+        let keys: Vec<u64> = (1..=16).collect();
+        std::thread::scope(|s| {
+            for w in 0..4u64 {
+                let (svc, keys) = (&svc, &keys);
+                s.spawn(move || {
+                    for round in 0..200 {
+                        let pairs = keys.iter().map(|&k| (k, w * 1000 + round)).collect();
+                        svc.submit(Request::MultiPut(pairs)).wait();
+                    }
+                });
+            }
+        });
+        svc.shutdown();
+        let snap = svc.registry().snapshot();
+        for (i, shard) in svc.shards.iter().enumerate() {
+            assert_eq!(
+                snap.counter(&format!("svc.shard{i}.latch_waits")),
+                shard.latches.waits(),
+                "shard {i}: every latch wait mirrored exactly once"
+            );
+        }
     }
 }

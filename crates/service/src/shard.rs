@@ -11,13 +11,13 @@
 //! latches so their shard slice is atomic with respect to every other
 //! latched writer on the shard.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use obs::{Counter, Histogram, Registry};
 use upskiplist::UpSkipList;
 
-use crate::api::{Completion, Response};
+use crate::api::{Completion, CompletionMetrics, Response};
 use crate::latch::{point_ranges, LatchManager};
 use crate::queue::AdmissionQueue;
 
@@ -73,7 +73,7 @@ impl GatherAgg {
         }
     }
 
-    fn fill(&self, positions: &[usize], values: Vec<Option<u64>>) {
+    fn fill(&self, positions: &[usize], values: Vec<Option<u64>>, m: &CompletionMetrics) {
         {
             let mut slots = self.slots.lock().unwrap();
             for (&pos, v) in positions.iter().zip(values) {
@@ -82,7 +82,7 @@ impl GatherAgg {
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             let slots = std::mem::take(&mut *self.slots.lock().unwrap());
-            self.done.complete(Response::Values(slots));
+            self.done.complete(Response::Values(slots), m);
         }
     }
 }
@@ -106,13 +106,13 @@ impl ScanAgg {
         }
     }
 
-    fn merge(&self, slice: Vec<(u64, u64)>) {
+    fn merge(&self, slice: Vec<(u64, u64)>, m: &CompletionMetrics) {
         self.partials.lock().unwrap().extend(slice);
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             let mut all = std::mem::take(&mut *self.partials.lock().unwrap());
             all.sort_unstable();
             all.truncate(self.limit);
-            self.done.complete(Response::Entries(all));
+            self.done.complete(Response::Entries(all), m);
         }
     }
 }
@@ -132,6 +132,11 @@ pub(crate) struct ShardMetrics {
     pub batch_occupancy: Arc<Histogram>,
     /// Mirror of `LatchManager::waits` (updated at drain time).
     pub latch_waits: Arc<Counter>,
+    /// Times a worker found the queue empty past its yield budget and
+    /// parked.
+    pub parks: Arc<Counter>,
+    /// The service-wide `svc.lat.request` and `svc.completed`.
+    pub done: CompletionMetrics,
 }
 
 impl ShardMetrics {
@@ -144,6 +149,8 @@ impl ShardMetrics {
             queue_depth: reg.histogram(&n("queue_depth")),
             batch_occupancy: reg.histogram(&n("batch_occupancy")),
             latch_waits: reg.counter(&n("latch_waits")),
+            parks: reg.counter(&n("parks")),
+            done: CompletionMetrics::new(reg),
         }
     }
 }
@@ -156,6 +163,10 @@ pub(crate) struct ShardState {
     pub node: u16,
     pub queue: AdmissionQueue,
     pub latches: LatchManager,
+    /// The `latches.waits()` value already added to `m.latch_waits`;
+    /// workers claim the increments past it with `fetch_max`, so two
+    /// workers never add the same delta.
+    latch_waits_mirrored: AtomicU64,
     pub m: ShardMetrics,
 }
 
@@ -172,7 +183,21 @@ impl ShardState {
             node,
             queue: AdmissionQueue::new(queue_cap),
             latches: LatchManager::new(),
+            latch_waits_mirrored: AtomicU64::new(0),
             m: ShardMetrics::new(reg, shard),
+        }
+    }
+
+    /// Add the latch waits since the last mirror to `m.latch_waits`. Any
+    /// worker of the shard may call it at any time: `fetch_max` hands
+    /// each increment to exactly one caller.
+    fn mirror_latch_waits(&self) {
+        let waits = self.latches.waits();
+        let seen = self
+            .latch_waits_mirrored
+            .fetch_max(waits, Ordering::Relaxed);
+        if waits > seen {
+            self.m.latch_waits.add(waits - seen);
         }
     }
 }
@@ -183,7 +208,7 @@ pub(crate) fn worker_loop(shard: Arc<ShardState>, worker_id: usize, max_batch: u
     pmem::thread::register(worker_id, shard.node);
     let mut batch = Vec::with_capacity(max_batch);
     loop {
-        let depth = shard.queue.pop_batch(max_batch, &mut batch);
+        let depth = shard.queue.pop_batch(max_batch, &mut batch, &shard.m.parks);
         if batch.is_empty() {
             return; // closed and drained
         }
@@ -192,11 +217,7 @@ pub(crate) fn worker_loop(shard: Arc<ShardState>, worker_id: usize, max_batch: u
         shard.m.batches.inc();
         shard.m.batch_ops.add(batch.len() as u64);
         execute(&shard, batch.drain(..));
-        let waits = shard.latches.waits();
-        let seen = shard.m.latch_waits.value();
-        if waits > seen {
-            shard.m.latch_waits.add(waits - seen);
-        }
+        shard.mirror_latch_waits();
     }
 }
 
@@ -219,6 +240,7 @@ pub(crate) fn worker_loop(shard: Arc<ShardState>, worker_id: usize, max_batch: u
 /// and scans complete as soon as they are answered.
 fn execute(shard: &ShardState, tasks: impl Iterator<Item = Task>) {
     let list = &shard.list;
+    let m = &shard.m.done;
     let mut gets: Vec<(u64, Completion)> = Vec::new();
     let mut puts: Vec<(u64, u64, Completion)> = Vec::new();
     let mut dels: Vec<(u64, Completion)> = Vec::new();
@@ -236,14 +258,14 @@ fn execute(shard: &ShardState, tasks: impl Iterator<Item = Task>) {
                 // Scans are unlatched: the list's lock-free iterator gives
                 // a consistent-enough view and scans never claim atomicity
                 // with respect to concurrent writers.
-                agg.merge(list.scan(from, limit));
+                agg.merge(list.scan(from, limit), m);
             }
             Task::MultiGet { keys, agg } => {
                 let ks: Vec<u64> = keys.iter().map(|&(_, k)| k).collect();
                 let _g = shard.latches.acquire(&point_ranges(ks.iter().copied()));
                 let vals = list.get_batch(&ks);
                 let pos: Vec<usize> = keys.iter().map(|&(p, _)| p).collect();
-                agg.fill(&pos, vals);
+                agg.fill(&pos, vals, m);
             }
             Task::MultiPut { pairs, agg } => {
                 let kvs: Vec<(u64, u64)> = pairs.iter().map(|&(_, k, v)| (k, v)).collect();
@@ -261,7 +283,7 @@ fn execute(shard: &ShardState, tasks: impl Iterator<Item = Task>) {
         let ks: Vec<u64> = gets.iter().map(|&(k, _)| k).collect();
         let vals = list.get_batch(&ks);
         for ((_, done), v) in gets.into_iter().zip(vals) {
-            done.complete(Response::Value(v));
+            done.complete(Response::Value(v), m);
         }
     }
     let wrote = !(puts.is_empty() && dels.is_empty() && multi_puts.is_empty());
@@ -285,12 +307,68 @@ fn execute(shard: &ShardState, tasks: impl Iterator<Item = Task>) {
         list.sync();
     }
     for ((_, _, done), v) in puts.into_iter().zip(put_prevs) {
-        done.complete(Response::Value(v));
+        done.complete(Response::Value(v), m);
     }
     for ((_, done), v) in dels.into_iter().zip(del_prevs) {
-        done.complete(Response::Value(v));
+        done.complete(Response::Value(v), m);
     }
     for (agg, pos, prevs) in multi_puts {
-        agg.fill(&pos, prevs);
+        agg.fill(&pos, prevs, m);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use upskiplist::ListBuilder;
+
+    #[test]
+    fn concurrent_mirrors_add_each_latch_wait_once() {
+        const ROUNDS: usize = 20_000;
+        let list = ListBuilder {
+            pool_words: 1 << 20,
+            ..ListBuilder::default()
+        }
+        .create();
+        let shard = ShardState::new(list, 0, 8, &Registry::new(), 0);
+        // Each round: one new wait, then two workers mirror at the same
+        // instant (a spin barrier releases them together). A mirror that
+        // added `waits - counter` would add the round's wait twice
+        // whenever the two reads interleave.
+        let arrived = AtomicUsize::new(0);
+        let barrier = |n: usize| {
+            arrived.fetch_add(1, Ordering::AcqRel);
+            let mut spins = 0u32;
+            while arrived.load(Ordering::Acquire) < n {
+                spins += 1;
+                if spins < 1000 {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now(); // the other worker is off-CPU
+                }
+            }
+        };
+        let double_adds = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for w in 0..2 {
+                let (shard, barrier, double_adds) = (&shard, &barrier, &double_adds);
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        if w == 0 {
+                            shard.latches.count_wait();
+                        }
+                        barrier(4 * round + 2);
+                        shard.mirror_latch_waits();
+                        barrier(4 * round + 4);
+                        let (m, waits) = (shard.m.latch_waits.value(), shard.latches.waits());
+                        if w == 0 && m != waits {
+                            double_adds.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(double_adds.into_inner(), 0);
+        assert_eq!(shard.m.latch_waits.value(), ROUNDS as u64);
     }
 }
