@@ -14,7 +14,7 @@
 //!
 //! Workload: uniform-key YCSB-B (95/5) so shard load is balanced, with a
 //! slice of requests folded into cross-shard `MultiGet`/`MultiPut` to
-//! exercise the gather and latch paths. Closed-loop rows sweep logical
+//! exercise the gather paths. Closed-loop rows sweep logical
 //! client counts; optional open-loop rows (`--rates`) sweep offered
 //! request rates.
 //!
@@ -26,9 +26,9 @@
 //!
 //! Emits CSV rows `mode,shards,load,mops,p50_ns,p95_ns,p99_ns` on stdout
 //! plus the full metrics report (per-shard queue depth, batch occupancy,
-//! latch waits, worker parks per 1 K requests) to `--json`/`--csv`. `--gate` exits nonzero unless the
-//! max-shard closed-loop throughput beats the 1-shard baseline by
-//! `--gate-ratio` (default 1.8; 1.3 with `--smoke`).
+//! worker parks per 1 K requests) to `--json`/`--csv`. `--gate` exits
+//! nonzero unless the max-shard closed-loop throughput beats the 1-shard
+//! baseline by `--gate-ratio` (default 1.8; 1.3 with `--smoke`).
 
 use std::sync::Arc;
 
@@ -118,9 +118,9 @@ fn start_service(cfg: &Config, lists: Vec<Arc<UpSkipList>>) -> Arc<KvService> {
     KvService::start(
         specs,
         ServiceConfig {
-            workers_per_shard: 1,
             max_batch: cfg.max_batch,
             queue_cap: cfg.queue_cap,
+            ..ServiceConfig::default()
         },
     )
 }
@@ -175,7 +175,7 @@ fn push_shard_metrics(report: &mut MetricsReport, svc: &KvService, shards: u16) 
     let structure = format!("s{shards}");
     for i in 0..shards as usize {
         let op = format!("shard{i}");
-        for c in ["enqueued", "batches", "batch_ops", "latch_waits", "parks"] {
+        for c in ["enqueued", "batches", "batch_ops", "parks"] {
             let v = snap.counter(&format!("svc.shard{i}.{c}"));
             report.push(&structure, &op, c, v as f64);
         }

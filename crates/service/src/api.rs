@@ -14,8 +14,9 @@ use obs::{Counter, Histogram, Registry};
 use crate::YIELD_BUDGET;
 
 /// One client request. Multi-key requests may span shards; each shard's
-/// slice executes atomically on that shard, conflict-serialized by the
-/// shard's key-range latch manager (see the `latch` module).
+/// slice executes atomically on that shard, because the shard's one
+/// worker runs it with no other request in between (see the `shard`
+/// module). Across shards there is no atomicity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Point lookup.

@@ -3,8 +3,9 @@
 //! A request router in front of N [`UpSkipList`] shards. The key space is
 //! hash-partitioned (FNV-1a, same mix as the YCSB key scrambler) across
 //! shards; each shard owns its own pmem pool placed on its home NUMA node
-//! and is drained by dedicated worker threads registered on that node, so
-//! every storage access a worker makes is node-local.
+//! and is drained by one worker thread registered on that node, so every
+//! storage access the worker makes is node-local. The service scales by
+//! shard count, one worker (one core) per shard.
 //!
 //! Layering, top to bottom:
 //!
@@ -15,27 +16,25 @@
 //!    broadcasts scans.
 //! 3. **Admission queues** — one bounded queue per shard; a full queue
 //!    blocks the submitter (backpressure).
-//! 4. **Latch manager** — per-shard key-range latches serialize
-//!    conflicting multi-key requests and coalesced write groups.
-//! 5. **Shard executor** — drains batches and applies them through the
-//!    list's native `get_batch`/`insert_batch`/`remove_batch` paths.
+//! 4. **Shard executor** — the shard's one worker drains batches and
+//!    applies them through the list's native `get_batch`/`insert_batch`/
+//!    `remove_batch` paths. It is the only thread that touches the
+//!    shard's list, so it runs each multi-key slice with no other request
+//!    in between: a `MultiPut` is atomic per shard.
 //!
-//! Everything in this crate is volatile: queues, latches, and tickets
+//! Everything in this crate is volatile: queues and tickets
 //! evaporate on a crash, and recovery is entirely the storage layer's
 //! (`UpSkipList`'s) problem. A restarted service re-attaches to the
 //! recovered lists and starts empty-queued.
 
 mod api;
-mod latch;
 mod queue;
 mod shard;
 
 pub mod loadgen;
 
 pub use api::{Request, Response, Ticket};
-pub use latch::{normalize, point_ranges, LatchGuard, LatchManager, Range};
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -48,7 +47,13 @@ use crate::shard::{GatherAgg, ScanAgg, ShardState, Task};
 /// Tuning knobs for [`KvService::start`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Worker threads draining each shard's queue.
+    /// Worker threads per shard. Must be 1: [`KvService::start`] panics
+    /// otherwise. The shard's one worker is what serializes the shard,
+    /// makes a `MultiPut` slice atomic and lets one `sync` per batch cover
+    /// every write the batch acks; a second worker could ack a write that
+    /// rests on the first one's unfenced link. The field remains only
+    /// because the yardstick (`benchmark/src/svc.rs`) still names it in a
+    /// struct literal, and goes once that caller drops it.
     pub workers_per_shard: usize,
     /// Max tasks a worker drains per batch (admission batch size).
     pub max_batch: usize,
@@ -124,15 +129,21 @@ pub struct KvService {
     req_multi_get: Arc<Counter>,
     req_multi_put: Arc<Counter>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    next_worker_id: AtomicUsize,
 }
 
 impl KvService {
-    /// Spin up the service: one `ShardState` per spec, `workers_per_shard`
-    /// threads per shard, all metrics registered on a fresh [`Registry`].
+    /// Spin up the service: one `ShardState` and one worker thread per
+    /// spec, all metrics registered on a fresh [`Registry`].
+    ///
+    /// # Panics
+    /// Panics when `specs` is empty or `cfg.workers_per_shard` is not 1.
     pub fn start(specs: Vec<ShardSpec>, cfg: ServiceConfig) -> Arc<Self> {
         assert!(!specs.is_empty(), "need at least one shard");
-        assert!(cfg.workers_per_shard >= 1);
+        assert!(
+            cfg.workers_per_shard == 1,
+            "a shard has exactly one worker (workers_per_shard = {})",
+            cfg.workers_per_shard
+        );
         let registry = Arc::new(Registry::new());
         let shards: Vec<Arc<ShardState>> = specs
             .into_iter()
@@ -151,19 +162,17 @@ impl KvService {
             req_multi_put: registry.counter("svc.req.multi_put"),
             registry,
             workers: Mutex::new(Vec::new()),
-            next_worker_id: AtomicUsize::new(0),
         });
-        let mut handles = Vec::new();
-        for shard in &svc.shards {
-            for _ in 0..cfg.workers_per_shard {
-                let nth = svc.next_worker_id.fetch_add(1, Ordering::Relaxed);
-                let id = (WORKER_ID_BASE + nth) % pmem::MAX_THREADS;
+        let handles = svc
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                let id = (WORKER_ID_BASE + i) % pmem::MAX_THREADS;
                 let shard = Arc::clone(shard);
-                handles.push(std::thread::spawn(move || {
-                    shard::worker_loop(shard, id, cfg.max_batch)
-                }));
-            }
-        }
+                std::thread::spawn(move || shard::worker_loop(shard, id, cfg.max_batch))
+            })
+            .collect();
         *svc.workers.lock().unwrap() = handles;
         svc
     }
@@ -429,42 +438,17 @@ mod tests {
     }
 
     #[test]
-    fn latch_waits_mirror_is_exact_with_two_workers_per_shard() {
-        const SHARDS: usize = 2;
-        let specs = (0..SHARDS as u16)
-            .map(|i| ShardSpec {
-                list: mini_list(i),
-                node: i,
-            })
-            .collect();
-        let svc = KvService::start(
-            specs,
+    #[should_panic(expected = "a shard has exactly one worker")]
+    fn a_second_worker_per_shard_is_refused() {
+        KvService::start(
+            vec![ShardSpec {
+                list: mini_list(0),
+                node: 0,
+            }],
             ServiceConfig {
                 workers_per_shard: 2,
-                max_batch: 16,
-                queue_cap: 1024,
+                ..ServiceConfig::default()
             },
         );
-        let keys: Vec<u64> = (1..=16).collect();
-        std::thread::scope(|s| {
-            for w in 0..4u64 {
-                let (svc, keys) = (&svc, &keys);
-                s.spawn(move || {
-                    for round in 0..200 {
-                        let pairs = keys.iter().map(|&k| (k, w * 1000 + round)).collect();
-                        svc.submit(Request::MultiPut(pairs)).wait();
-                    }
-                });
-            }
-        });
-        svc.shutdown();
-        let snap = svc.registry().snapshot();
-        for (i, shard) in svc.shards.iter().enumerate() {
-            assert_eq!(
-                snap.counter(&format!("svc.shard{i}.latch_waits")),
-                shard.latches.waits(),
-                "shard {i}: every latch wait mirrored exactly once"
-            );
-        }
     }
 }

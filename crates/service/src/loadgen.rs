@@ -30,7 +30,7 @@ use crate::{KvService, Request, Response, Ticket};
 /// then `Put`). When `multi_every > 0`, every `multi_every`-th op
 /// consumes up to `multi_size` ops and folds their keys into one
 /// `MultiGet` (read op) or `MultiPut` (write op) — the multi-key
-/// requests that exercise the cross-shard gather and latch paths.
+/// requests that exercise the cross-shard gather paths.
 pub fn requests_from_ops(ops: &[ycsb::Op], multi_every: usize, multi_size: usize) -> Vec<Request> {
     let mut out = Vec::with_capacity(ops.len());
     let mut i = 0usize;

@@ -2,23 +2,24 @@
 //! admission queue and applies tasks to its `UpSkipList` through the
 //! native batch paths.
 //!
-//! A drained batch contains only requests that were concurrently
-//! outstanding (every client has at most one request in flight), so any
-//! execution order within the batch is a linearizable one. The worker
-//! exploits that: it coalesces single-key gets into one `get_batch`,
-//! single-key puts into one `insert_batch`, deletes into one
-//! `remove_batch`, and runs multi-key requests inline under key-range
-//! latches so their shard slice is atomic with respect to every other
-//! latched writer on the shard.
+//! Each shard has exactly one worker, and it is the only thread that
+//! touches the shard's list. It runs a drained batch serially, so a
+//! `MultiPut` slice is applied with no other request of the shard in
+//! between: the slice is atomic on its shard, and a `MultiGet` slice sees
+//! all of it or none of it. A drained batch contains only requests that
+//! were concurrently outstanding (every client has at most one request in
+//! flight), so any execution order within the batch is a linearizable
+//! one. The worker exploits that: it answers every read before any write
+//! runs, and coalesces single-key gets into one `get_batch`, single-key
+//! puts into one `insert_batch` and deletes into one `remove_batch`.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use obs::{Counter, Histogram, Registry};
 use upskiplist::UpSkipList;
 
 use crate::api::{Completion, CompletionMetrics, Response};
-use crate::latch::{point_ranges, LatchManager};
 use crate::queue::AdmissionQueue;
 
 /// One unit of work on a shard's queue. Multi-key requests arrive as the
@@ -122,7 +123,7 @@ impl ScanAgg {
 pub(crate) struct ShardMetrics {
     /// Tasks admitted to the queue.
     pub enqueued: Arc<Counter>,
-    /// Batches drained by workers.
+    /// Batches drained by the worker.
     pub batches: Arc<Counter>,
     /// Tasks executed (sum of batch sizes).
     pub batch_ops: Arc<Counter>,
@@ -130,9 +131,7 @@ pub(crate) struct ShardMetrics {
     pub queue_depth: Arc<Histogram>,
     /// Tasks per drained batch.
     pub batch_occupancy: Arc<Histogram>,
-    /// Mirror of `LatchManager::waits` (updated at drain time).
-    pub latch_waits: Arc<Counter>,
-    /// Times a worker found the queue empty past its yield budget and
+    /// Times the worker found the queue empty past its yield budget and
     /// parked.
     pub parks: Arc<Counter>,
     /// The service-wide `svc.lat.request` and `svc.completed`.
@@ -148,25 +147,19 @@ impl ShardMetrics {
             batch_ops: reg.counter(&n("batch_ops")),
             queue_depth: reg.histogram(&n("queue_depth")),
             batch_occupancy: reg.histogram(&n("batch_occupancy")),
-            latch_waits: reg.counter(&n("latch_waits")),
             parks: reg.counter(&n("parks")),
             done: CompletionMetrics::new(reg),
         }
     }
 }
 
-/// Everything a shard worker needs: storage, home node, queue, latches.
+/// Everything a shard worker needs: storage, home node, queue.
 pub(crate) struct ShardState {
     pub list: Arc<UpSkipList>,
-    /// Simulated NUMA node this shard's pool lives on; workers register
-    /// on it so their pmem accesses are local.
+    /// Simulated NUMA node this shard's pool lives on; the worker
+    /// registers on it so its pmem accesses are local.
     pub node: u16,
     pub queue: AdmissionQueue,
-    pub latches: LatchManager,
-    /// The `latches.waits()` value already added to `m.latch_waits`;
-    /// workers claim the increments past it with `fetch_max`, so two
-    /// workers never add the same delta.
-    latch_waits_mirrored: AtomicU64,
     pub m: ShardMetrics,
 }
 
@@ -182,22 +175,7 @@ impl ShardState {
             list,
             node,
             queue: AdmissionQueue::new(queue_cap),
-            latches: LatchManager::new(),
-            latch_waits_mirrored: AtomicU64::new(0),
             m: ShardMetrics::new(reg, shard),
-        }
-    }
-
-    /// Add the latch waits since the last mirror to `m.latch_waits`. Any
-    /// worker of the shard may call it at any time: `fetch_max` hands
-    /// each increment to exactly one caller.
-    fn mirror_latch_waits(&self) {
-        let waits = self.latches.waits();
-        let seen = self
-            .latch_waits_mirrored
-            .fetch_max(waits, Ordering::Relaxed);
-        if waits > seen {
-            self.m.latch_waits.add(waits - seen);
         }
     }
 }
@@ -217,68 +195,48 @@ pub(crate) fn worker_loop(shard: Arc<ShardState>, worker_id: usize, max_batch: u
         shard.m.batches.inc();
         shard.m.batch_ops.add(batch.len() as u64);
         execute(&shard, batch.drain(..));
-        shard.mirror_latch_waits();
     }
 }
 
-/// Execute a drained batch.
+/// Execute a drained batch on the shard's one worker.
 ///
-/// Multi-key tasks run inline under latches (in arrival order — they may
-/// block on latches held by other workers of the same shard). Single-key
-/// tasks are coalesced and executed after the inline pass: gets through
-/// one unlatched `get_batch` (a point get is individually linearizable —
-/// the list itself serializes it), puts and deletes through
-/// `insert_batch`/`remove_batch` under a point-set latch so they
-/// serialize against multi-key writers touching the same keys.
+/// Reads first: scans and multi-gets are answered as they are met, and
+/// the coalesced gets through one `get_batch` once every task is sorted,
+/// before any write of the batch runs. Then the writes: `MultiPut` slices
+/// in arrival order, the coalesced puts through one `insert_batch`, the
+/// deletes through one `remove_batch`.
 ///
 /// Group commit: a batch that wrote calls `sync` once, and only then
 /// completes its put and delete tickets and fills its `MultiPut` slices,
 /// so an acknowledged write survives a crash. The list defers the fence of
 /// some links (a new head successor's, a tower's) to the writer's next
 /// operation or `sync`; without this one the last write a worker made
-/// before going idle could be acked and still be lost. Gets, multi-gets
-/// and scans complete as soon as they are answered.
+/// before going idle could be acked and still be lost. Answering reads
+/// before the writes keeps the same hole shut for readers: a read drained
+/// with a write never returns that write's value before the `sync`, so a
+/// crash cannot take back a value a client has seen.
 fn execute(shard: &ShardState, tasks: impl Iterator<Item = Task>) {
     let list = &shard.list;
     let m = &shard.m.done;
     let mut gets: Vec<(u64, Completion)> = Vec::new();
     let mut puts: Vec<(u64, u64, Completion)> = Vec::new();
     let mut dels: Vec<(u64, Completion)> = Vec::new();
-    // `MultiPut` slices applied but not yet durable: (aggregator, input
-    // positions, previous values).
-    type Slice = (Arc<GatherAgg>, Vec<usize>, Vec<Option<u64>>);
-    let mut multi_puts: Vec<Slice> = Vec::new();
+    let mut multi_puts = Vec::new();
 
     for t in tasks {
         match t {
             Task::Get { key, done } => gets.push((key, done)),
             Task::Put { key, value, done } => puts.push((key, value, done)),
             Task::Delete { key, done } => dels.push((key, done)),
-            Task::Scan { from, limit, agg } => {
-                // Scans are unlatched: the list's lock-free iterator gives
-                // a consistent-enough view and scans never claim atomicity
-                // with respect to concurrent writers.
-                agg.merge(list.scan(from, limit), m);
-            }
+            Task::MultiPut { pairs, agg } => multi_puts.push((pairs, agg)),
+            Task::Scan { from, limit, agg } => agg.merge(list.scan(from, limit), m),
             Task::MultiGet { keys, agg } => {
                 let ks: Vec<u64> = keys.iter().map(|&(_, k)| k).collect();
-                let _g = shard.latches.acquire(&point_ranges(ks.iter().copied()));
-                let vals = list.get_batch(&ks);
                 let pos: Vec<usize> = keys.iter().map(|&(p, _)| p).collect();
-                agg.fill(&pos, vals, m);
-            }
-            Task::MultiPut { pairs, agg } => {
-                let kvs: Vec<(u64, u64)> = pairs.iter().map(|&(_, k, v)| (k, v)).collect();
-                let _g = shard
-                    .latches
-                    .acquire(&point_ranges(kvs.iter().map(|&(k, _)| k)));
-                let prevs = list.insert_batch(&kvs);
-                let pos: Vec<usize> = pairs.iter().map(|&(p, _, _)| p).collect();
-                multi_puts.push((agg, pos, prevs));
+                agg.fill(&pos, list.get_batch(&ks), m);
             }
         }
     }
-
     if !gets.is_empty() {
         let ks: Vec<u64> = gets.iter().map(|&(k, _)| k).collect();
         let vals = list.get_batch(&ks);
@@ -286,21 +244,28 @@ fn execute(shard: &ShardState, tasks: impl Iterator<Item = Task>) {
             done.complete(Response::Value(v), m);
         }
     }
+
     let wrote = !(puts.is_empty() && dels.is_empty() && multi_puts.is_empty());
+    // Applied but not yet durable: (aggregator, input positions, previous
+    // values) per `MultiPut` slice.
+    let multi_puts: Vec<_> = multi_puts
+        .into_iter()
+        .map(|(pairs, agg)| {
+            let kvs: Vec<(u64, u64)> = pairs.iter().map(|&(_, k, v)| (k, v)).collect();
+            let pos: Vec<usize> = pairs.iter().map(|&(p, _, _)| p).collect();
+            (agg, pos, list.insert_batch(&kvs))
+        })
+        .collect();
     let put_prevs = if puts.is_empty() {
         Vec::new()
     } else {
         let kvs: Vec<(u64, u64)> = puts.iter().map(|&(k, v, _)| (k, v)).collect();
-        let _g = shard
-            .latches
-            .acquire(&point_ranges(kvs.iter().map(|&(k, _)| k)));
         list.insert_batch(&kvs)
     };
     let del_prevs = if dels.is_empty() {
         Vec::new()
     } else {
         let ks: Vec<u64> = dels.iter().map(|&(k, _)| k).collect();
-        let _g = shard.latches.acquire(&point_ranges(ks.iter().copied()));
         list.remove_batch(&ks)
     };
     if wrote {
@@ -320,55 +285,49 @@ fn execute(shard: &ShardState, tasks: impl Iterator<Item = Task>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upskiplist::ListBuilder;
+    use crate::api::ticket;
+    use pmem::PersistenceMode;
+    use upskiplist::{ListBuilder, ListConfig};
 
     #[test]
-    fn concurrent_mirrors_add_each_latch_wait_once() {
-        const ROUNDS: usize = 20_000;
+    fn reads_drained_with_a_write_do_not_see_it() {
+        // One level and a synced key 1000: a put of 10 links a new head
+        // successor, whose link the list leaves unfenced until the
+        // worker's `sync`. A read answered after that put but before the
+        // sync would hand out a value a crash can still take back.
         let list = ListBuilder {
+            list: ListConfig::new(1, 16),
             pool_words: 1 << 20,
+            mode: PersistenceMode::Tracked,
             ..ListBuilder::default()
         }
         .create();
-        let shard = ShardState::new(list, 0, 8, &Registry::new(), 0);
-        // Each round: one new wait, then two workers mirror at the same
-        // instant (a spin barrier releases them together). A mirror that
-        // added `waits - counter` would add the round's wait twice
-        // whenever the two reads interleave.
-        let arrived = AtomicUsize::new(0);
-        let barrier = |n: usize| {
-            arrived.fetch_add(1, Ordering::AcqRel);
-            let mut spins = 0u32;
-            while arrived.load(Ordering::Acquire) < n {
-                spins += 1;
-                if spins < 1000 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now(); // the other worker is off-CPU
-                }
-            }
-        };
-        let double_adds = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for w in 0..2 {
-                let (shard, barrier, double_adds) = (&shard, &barrier, &double_adds);
-                s.spawn(move || {
-                    for round in 0..ROUNDS {
-                        if w == 0 {
-                            shard.latches.count_wait();
-                        }
-                        barrier(4 * round + 2);
-                        shard.mirror_latch_waits();
-                        barrier(4 * round + 4);
-                        let (m, waits) = (shard.m.latch_waits.value(), shard.latches.waits());
-                        if w == 0 && m != waits {
-                            double_adds.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(double_adds.into_inner(), 0);
-        assert_eq!(shard.m.latch_waits.value(), ROUNDS as u64);
+        list.insert(1000, 1);
+        list.sync();
+        let shard = ShardState::new(Arc::clone(&list), 0, 8, &Registry::new(), 0);
+
+        let (put, put_done) = ticket();
+        let (get, get_done) = ticket();
+        let (multi_get, multi_get_done) = ticket();
+        let tasks = vec![
+            Task::MultiPut {
+                pairs: vec![(0, 10, 100)],
+                agg: Arc::new(GatherAgg::new(1, 1, put_done)),
+            },
+            Task::Get {
+                key: 10,
+                done: get_done,
+            },
+            Task::MultiGet {
+                keys: vec![(0, 10)],
+                agg: Arc::new(GatherAgg::new(1, 1, multi_get_done)),
+            },
+        ];
+        execute(&shard, tasks.into_iter());
+
+        assert_eq!(get.try_take(), Some(Response::Value(None)));
+        assert_eq!(multi_get.try_take(), Some(Response::Values(vec![None])));
+        assert_eq!(put.try_take(), Some(Response::Values(vec![None])));
+        assert_eq!(list.get(10), Some(100));
     }
 }

@@ -12,8 +12,7 @@
 //!
 //! More client threads than CPUs, with think times of zero (the workers
 //! rarely find their queue empty), a few µs (inside the yield window) and
-//! ~200 µs (past it, so workers and waiters park), over 1 and 2 workers
-//! per shard.
+//! ~200 µs (past it, so workers and waiters park).
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -67,7 +66,8 @@ impl Drop for Finished {
     }
 }
 
-fn run(workers_per_shard: usize) {
+#[test]
+fn every_ticket_completes_with_one_worker_per_shard() {
     let specs = (0..SHARDS)
         .map(|i| ShardSpec {
             list: mini_list(i),
@@ -77,9 +77,9 @@ fn run(workers_per_shard: usize) {
     let svc = KvService::start(
         specs,
         ServiceConfig {
-            workers_per_shard,
             max_batch: 16,
             queue_cap: 64,
+            ..ServiceConfig::default()
         },
     );
     let cpus = std::thread::available_parallelism().map_or(2, |n| n.get());
@@ -143,14 +143,4 @@ fn run(workers_per_shard: usize) {
         parks > 0,
         "the 200 µs clients leave workers idle long enough to park"
     );
-}
-
-#[test]
-fn every_ticket_completes_with_one_worker_per_shard() {
-    run(1);
-}
-
-#[test]
-fn every_ticket_completes_with_two_workers_per_shard() {
-    run(2);
 }

@@ -1,13 +1,14 @@
 //! Concurrent stress proving the acceptance property of multi-key
-//! writes: a `MultiPut` spanning shard boundaries is atomic *per shard*
-//! and conflict-serialized by the latch manager.
+//! writes: a `MultiPut` spanning shard boundaries is atomic *per shard*.
+//! The source of that atomicity is the shard's single executor: its one
+//! worker runs each drained request's slice with no other request of the
+//! shard in between.
 //!
 //! Writers repeatedly `MultiPut` the same fixed key set (which hashes
 //! across all shards), stamping every key with the same writer-unique
 //! value. Readers concurrently `MultiGet` the full set. If per-shard
-//! atomicity or latch serialization were broken, a reader would observe
-//! two different stamps *within one shard's slice* of its response —
-//! i.e. a torn multi-put. Across shards tearing is expected and allowed
+//! atomicity were broken, a reader would observe two different stamps
+//! *within one shard's slice* of its response — i.e. a torn multi-put. Across shards tearing is expected and allowed
 //! (the API contract is per-shard atomicity), which is exactly what the
 //! invariant below distinguishes.
 
@@ -41,9 +42,9 @@ fn multiput_is_atomic_per_shard_under_contention() {
     let svc = KvService::start(
         specs,
         ServiceConfig {
-            workers_per_shard: 2, // >1 worker so latches actually contend
             max_batch: 16,
             queue_cap: 1024,
+            ..ServiceConfig::default()
         },
     );
 
@@ -85,9 +86,9 @@ fn multiput_is_atomic_per_shard_under_contention() {
                     };
                     // Per-shard atomicity: within one MultiGet response,
                     // all keys living on the same shard must carry the
-                    // same stamp (the MultiGet latches the same keys the
-                    // MultiPuts latch, so it cannot interleave with a
-                    // partially applied multi-put on that shard).
+                    // same stamp (the shard's worker runs the MultiGet
+                    // slice between two whole multi-put slices, never
+                    // inside one).
                     for shard in 0..SHARDS {
                         let stamps: std::collections::HashSet<u64> = vals
                             .iter()
@@ -106,21 +107,8 @@ fn multiput_is_atomic_per_shard_under_contention() {
         }
     });
 
-    // Quiesce and check the latch manager actually saw contention —
-    // otherwise this test proves nothing.
     svc.shutdown();
     let snap = svc.registry().snapshot();
-    let waits: u64 = (0..SHARDS)
-        .map(|i| snap.counter(&format!("svc.shard{i}.latch_waits")))
-        .sum();
     let multi: u64 = snap.counter("svc.req.multi_put") + snap.counter("svc.req.multi_get");
     assert_eq!(multi, WRITERS * ROUNDS + READERS as u64 * ROUNDS * 2 + 1);
-    // With 2 workers per shard and every request touching every shard,
-    // conflicts are overwhelmingly likely; tolerate zero only if the
-    // scheduler somehow serialized everything (don't flake), but record
-    // the observation in the assertion message if it ever goes to zero.
-    assert!(
-        waits < u64::MAX,
-        "latch wait counter must be readable (saw {waits})"
-    );
 }
