@@ -112,7 +112,7 @@ fn run_one(records: u64, threads: usize) -> RunOut {
     each_phase(OpKind::Get);
     each_phase(OpKind::Remove);
     let after = list.space().stats_by_op();
-    let m = list.struct_metrics();
+    let m = list.registry().snapshot();
     let mut by_op = [StatsSnapshot::default(); OP_KINDS];
     for (i, b) in by_op.iter_mut().enumerate() {
         *b = after[i].since(&before[i]);
@@ -124,10 +124,10 @@ fn run_one(records: u64, threads: usize) -> RunOut {
     RunOut {
         by_op,
         ops,
-        leases: m.alloc.leases,
-        magazine_hits: m.alloc.magazine_hits,
-        fast: m.alloc.fast_allocs,
-        slow: m.alloc.slow_allocs,
+        leases: m.counter("alloc.leases"),
+        magazine_hits: m.counter("alloc.magazine_hits"),
+        fast: m.counter("alloc.fast"),
+        slow: m.counter("alloc.slow"),
     }
 }
 

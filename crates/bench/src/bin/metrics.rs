@@ -184,7 +184,7 @@ fn main() {
         // Load is untagged on purpose: it lands in the `other` bucket so
         // the per-op numbers below measure steady state only.
         bench::load(&t.index, &mixed, threads.max(4), 1);
-        let base = t.upskiplist.as_ref().map(|l| l.struct_metrics());
+        let base = t.upskiplist.as_ref().map(|l| l.registry().snapshot());
 
         let mixed_r = run_metrics(&t.index, &mixed, 1, 1, "mixed", Some(&registry));
         let batched_r = run_metrics(&t.index, &reads, 1, batch, "reads", Some(&registry));
@@ -240,7 +240,7 @@ fn main() {
             guard_mops = Some(mixed_r.mops());
         }
         if let (Some(l), Some(base)) = (&t.upskiplist, base) {
-            push_struct_rows(&mut report, sname, &l.struct_metrics().since(&base));
+            push_struct_rows(&mut report, sname, &l.registry().snapshot().since(&base));
         }
         eprintln!(
             "{sname}: mixed {:.3} Mops, batched reads {:.3} Mops",

@@ -15,7 +15,8 @@
 //! A watchdog ends a stalled sweep: when no driver thread completes an
 //! operation for two minutes it prints the cell (workload × structure ×
 //! threads), the per-thread op counts and, for UPSkipList, the list's
-//! structure counters (live under `--metrics`), and exits with code 2.
+//! registry counters (`list.*` live under `--metrics`, `alloc.*` always),
+//! and exits with code 2.
 
 use std::sync::{Arc, Mutex};
 
@@ -67,11 +68,11 @@ fn main() {
             cell.label
         );
         if let Some(list) = &cell.list {
-            // The list's own counters count only under `--metrics`.
+            // `list.*` counts only under `--metrics`; `alloc.*` always.
             eprintln!(
-                "structure counters (obs {:?}): {:?}",
+                "registry counters (obs {:?}): {:?}",
                 list.obs_level(),
-                list.struct_metrics()
+                list.registry().snapshot().counters
             );
         }
     });

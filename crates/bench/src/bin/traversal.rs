@@ -44,7 +44,7 @@ use obs::report::MetricsReport;
 use obs::ObsLevel;
 use pmem::{op_tag, OpKind};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use upskiplist::{StructMetricsSnapshot, UpSkipList};
+use upskiplist::UpSkipList;
 use ycsb::{Distribution, Workload, WorkloadSpec};
 
 /// Read-only uniform workload: every key equally likely, so shadow hits
@@ -111,7 +111,7 @@ struct Row {
     reads_per_op: f64,
     insert_reads: f64,
     scan_reads_per_key: f64,
-    structure: StructMetricsSnapshot,
+    structure: obs::Snapshot,
 }
 
 fn measure(
@@ -141,14 +141,14 @@ fn measure(
     // load/warm-up traffic (including the lazy shadow build) is excluded.
     let _ = bench::run(&index, &w, 1, false, "warmup");
     let before = pmem_reads(&index);
-    let sbefore = index.struct_metrics();
+    let sbefore = index.registry().snapshot();
     let r = if batch > 1 {
         bench::run_batched(&index, &w, 1, batch, variant)
     } else {
         bench::run(&index, &w, 1, false, variant)
     };
     let after = pmem_reads(&index);
-    let structure = index.struct_metrics().since(&sbefore);
+    let structure = index.registry().snapshot().since(&sbefore);
     Row {
         variant,
         records,
@@ -251,8 +251,8 @@ fn main() {
                 r.reads_per_op,
                 r.insert_reads,
                 r.scan_reads_per_key,
-                r.structure.tag_hits,
-                r.structure.tag_fallbacks,
+                r.structure.counter("list.tag_hits"),
+                r.structure.counter("list.tag_fallbacks"),
                 if i + 1 == rows.len() { "" } else { "," }
             ));
         }

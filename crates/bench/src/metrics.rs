@@ -144,40 +144,13 @@ pub fn push_latency_rows(report: &mut MetricsReport, structure: &str, registry: 
     }
 }
 
-/// Append UPSkipList structure-internal counters (CAS retries, shadow
-/// hit rate, splits, allocator paths, traversal hops).
-pub fn push_struct_rows(
-    report: &mut MetricsReport,
-    structure: &str,
-    m: &upskiplist::StructMetricsSnapshot,
-) {
-    let rows: [(&str, u64); 21] = [
-        ("cas_retries", m.cas_retries),
-        ("lock_waits", m.lock_waits),
-        ("node_splits", m.node_splits),
-        ("node_purges", m.node_purges),
-        ("shadow_hits", m.shadow_hits),
-        ("shadow_misses", m.shadow_misses),
-        ("shadow_rebuilds", m.shadow_rebuilds),
-        ("shadow_invalidations", m.shadow_invalidations),
-        ("prefetch_issued", m.prefetch_issued),
-        ("tag_hits", m.tag_hits),
-        ("tag_fallbacks", m.tag_fallbacks),
-        ("compactions", m.compactions),
-        ("nodes_reclaimed", m.nodes_reclaimed),
-        ("alloc_fast_path", m.alloc.fast_allocs),
-        ("alloc_slow_path", m.alloc.slow_allocs),
-        ("alloc_magazine_hits", m.alloc.magazine_hits),
-        ("alloc_leases", m.alloc.leases),
-        ("alloc_lease_blocks", m.alloc.lease_blocks),
-        ("alloc_outbox_flushes", m.alloc.outbox_flushes),
-        ("alloc_outbox_blocks", m.alloc.outbox_blocks),
-        ("alloc_heals", m.alloc.heals),
-    ];
-    for (metric, v) in rows {
-        report.push(structure, "struct", metric, v as f64);
+/// Append a deployment registry's counters (the list's `list.*` and the
+/// allocator's `alloc.*`), one `struct` row each under its registered
+/// name.
+pub fn push_struct_rows(report: &mut MetricsReport, structure: &str, snap: &obs::Snapshot) {
+    for (name, &v) in &snap.counters {
+        report.push(structure, "struct", name, v as f64);
     }
-    report.push(structure, "struct", "traversal_hops", m.total_hops() as f64);
 }
 
 /// Write a report to `path` as JSON or CSV by extension, creating parent

@@ -253,7 +253,7 @@ impl CrashSubject for SkipListSubject {
     }
 
     fn purges(&self) -> u64 {
-        self.list.struct_metrics().node_purges
+        self.list.registry().snapshot().counter("list.node_purges")
     }
 }
 
@@ -313,7 +313,7 @@ impl CrashSubject for AllocSubject {
     }
 
     fn leases(&self) -> u64 {
-        self.alloc.counters().leases
+        self.alloc.registry().snapshot().counter("alloc.leases")
     }
 
     fn workload(&mut self) {

@@ -225,7 +225,7 @@ fn purge_and_claim_cost_four_fences_and_leave_only_lock_words_unflushed() {
     let rec = audit::end();
 
     assert_eq!(l.node_count(), nodes_before, "the insert reclaimed a slot");
-    assert_eq!(l.struct_metrics().node_purges, 1);
+    assert_eq!(l.registry().snapshot().counter("list.node_purges"), 1);
     assert!(
         rec.phantom_flushes().is_empty(),
         "phantom flushes: {:?}",

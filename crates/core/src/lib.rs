@@ -48,7 +48,7 @@ pub mod config;
 pub mod iter;
 pub mod layout;
 pub mod list;
-pub mod metrics;
+mod metrics;
 pub mod ops;
 pub mod recovery;
 pub mod rwlock;
@@ -61,7 +61,6 @@ mod flush_audit_tests;
 
 pub use config::{ListConfig, MAX_HEIGHT, MAX_USER_KEY, MIN_USER_KEY};
 pub use list::{ListBuilder, UpSkipList};
-pub use metrics::{StructMetricsSnapshot, StructStats};
 pub use obs::ObsLevel;
 pub use shadow::{DEFAULT_SHADOW_CAPACITY, DEFAULT_SHADOW_REGIONS};
 
@@ -86,6 +85,44 @@ mod tests {
         assert_eq!(l.get(u64::MAX - 1), None);
         assert_eq!(l.remove(5), None);
         assert_eq!(l.count_live(), 0);
+    }
+
+    #[test]
+    fn registry_counts_allocator_and_list_live() {
+        // Splitting inserts lease blocks; the list's registry is the
+        // allocator's, so its `alloc.*` counters are current at every
+        // snapshot with no sync step.
+        let l = list(12, 4);
+        for k in 1..=200u64 {
+            l.insert(k, k);
+        }
+        assert!(Arc::ptr_eq(l.registry(), l.allocator().registry()));
+        let snap = l.registry().snapshot();
+        assert!(snap.counter("alloc.leases") > 0, "{snap:?}");
+        assert!(snap.counter("alloc.magazine_hits") > 0, "{snap:?}");
+        assert!(snap.counter("list.node_splits") > 0, "{snap:?}");
+    }
+
+    #[test]
+    fn registry_holds_every_name_the_benchmark_reads() {
+        // The benchmark reads these by string; a rename must fail here
+        // instead of silently reading 0 there.
+        let l = list(8, 4);
+        assert_eq!(l.obs_level(), ObsLevel::Counters);
+        let snap = l.registry().snapshot();
+        for name in [
+            "alloc.fast",
+            "alloc.slow",
+            "alloc.magazine_hits",
+            "list.node_splits",
+            "list.cas_retries",
+            "list.lock_waits",
+            "list.shadow_hits",
+            "list.shadow_misses",
+            "list.hops.l00",
+        ] {
+            assert!(snap.counters.contains_key(name), "{name} not registered");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use riv::{RivPtr, RivSpace};
 
 use crate::config::{ListConfig, KEY_INF, KEY_NULL, TOMBSTONE};
 use crate::layout::*;
-use crate::metrics::{StructMetricsSnapshot, StructStats};
+use crate::metrics::StructStats;
 use crate::shadow::{IndexShadow, StructureEpoch};
 use crate::tags::TagTable;
 
@@ -42,7 +42,8 @@ pub struct UpSkipList {
     /// module docs for the positive-only contract).
     pub(crate) tags: Option<TagTable>,
     /// Structure-level observability counters (DRAM-only; level derived
-    /// from pool 0's [`ObsLevel`]).
+    /// from pool 0's [`ObsLevel`]), registered in the allocator's
+    /// registry.
     pub(crate) stats: StructStats,
 }
 
@@ -112,10 +113,6 @@ impl Default for ListBuilder {
 }
 
 impl ListBuilder {
-    // The deprecated `collect_stats(bool)` shim was removed after the
-    // `ObsLevel` migration completed; set the `obs` field directly. The
-    // pmcheck PMS06 rule now reports any remaining caller as a removed API.
-
     /// Words per block: one node of maximal height, rounded to cache lines.
     fn block_words(&self) -> u64 {
         node_words(&self.list).div_ceil(pmem::CACHE_LINE_WORDS) * pmem::CACHE_LINE_WORDS
@@ -185,7 +182,7 @@ impl UpSkipList {
         let epoch = 1u64;
         alloc.format(epoch);
         let pool0 = Arc::clone(alloc.space().pool(0));
-        let stats = StructStats::new(pool0.obs_level());
+        let stats = StructStats::new(pool0.obs_level(), alloc.registry());
         let list = Arc::new(Self {
             tags: TagTable::for_list(&cfg, &alloc),
             alloc,
@@ -242,7 +239,7 @@ impl UpSkipList {
         pool0.write(ROOT_EPOCH, epoch);
         pool0.write(ROOT_CLEAN, 0);
         pool0.persist(ROOT_EPOCH, 2);
-        let stats = StructStats::new(pool0.obs_level());
+        let stats = StructStats::new(pool0.obs_level(), alloc.registry());
         Arc::new(Self {
             head: RivPtr::from_raw(pool0.read(ROOT_HEAD)),
             tail: RivPtr::from_raw(pool0.read(ROOT_TAIL)),
@@ -321,28 +318,25 @@ impl UpSkipList {
         &self.cfg
     }
 
-    /// The observability registry holding the structure-level counters
-    /// (`list.*` names); benches may add their own entries.
+    /// The deployment's observability registry: the structure counters
+    /// (`list.*` names) and the allocator's path counters (`alloc.*`),
+    /// live at every snapshot. Benches may add their own entries.
     #[inline]
     pub fn registry(&self) -> &Arc<Registry> {
-        self.stats.registry()
+        self.alloc.registry()
     }
 
-    /// The observability level this deployment was built with.
+    /// The observability level this deployment was built with (pool 0's).
     #[inline]
     pub fn obs_level(&self) -> ObsLevel {
-        self.stats.level()
+        self.space().pool(0).obs_level()
     }
 
-    /// Structure-level counters: CAS retries, lock waits, splits, shadow
-    /// hits/misses, compactions, hops per level, plus the allocator's
-    /// path counters (fast/slow pops, magazine hits, leases, outbox
-    /// batches, heals). Also syncs the registry's `alloc.*` mirrors.
-    pub fn struct_metrics(&self) -> StructMetricsSnapshot {
-        let mut s = self.stats.snapshot();
-        s.alloc = self.alloc.counters();
-        self.stats.sync_alloc(&s.alloc);
-        s
+    /// Same as `self.registry().snapshot()`. The method remains only
+    /// because the benchmark's `deploy::registry_snapshot` still calls
+    /// it, and goes once that caller drops it; read the registry instead.
+    pub fn struct_metrics(&self) -> obs::Snapshot {
+        self.registry().snapshot()
     }
 
     /// The current failure-free epoch.

@@ -544,9 +544,9 @@ mod tests {
             l.shadow_entries() > 0,
             "a descent over a populated list must image the upper levels"
         );
-        let m = l.struct_metrics();
-        assert!(m.shadow_rebuilds >= 1);
-        assert!(m.shadow_hits + m.shadow_misses > 0);
+        let m = l.registry().snapshot();
+        assert!(m.counter("list.shadow_rebuilds") >= 1);
+        assert!(m.counter("list.shadow_hits") + m.counter("list.shadow_misses") > 0);
     }
 
     #[test]
@@ -655,7 +655,7 @@ mod tests {
         }
         assert_eq!(l.get(50), Some(50));
         assert_eq!(l.shadow_entries(), 0);
-        assert_eq!(l.struct_metrics().shadow_rebuilds, 0);
+        assert_eq!(l.registry().snapshot().counter("list.shadow_rebuilds"), 0);
     }
 
     #[test]
@@ -683,6 +683,6 @@ mod tests {
             assert_eq!(l.get(k), Some(k));
         }
         assert_eq!(l.shadow_entries(), 0, "no upper levels exist to mirror");
-        assert_eq!(l.struct_metrics().shadow_rebuilds, 0);
+        assert_eq!(l.registry().snapshot().counter("list.shadow_rebuilds"), 0);
     }
 }

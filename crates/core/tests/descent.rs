@@ -180,7 +180,7 @@ fn inserts_after_reader_descents_build_whole_towers() {
         for k in 1..=n {
             assert_eq!(l.get(k * 16), Some(k));
         }
-        let splits0 = l.struct_metrics().node_splits;
+        let splits0 = l.registry().snapshot().counter("list.node_splits");
         for i in 0..n * 4 {
             let k = 1 + (i * 7_919) % (n * 16);
             if !k.is_multiple_of(16) {
@@ -189,7 +189,7 @@ fn inserts_after_reader_descents_build_whole_towers() {
             }
         }
         assert!(
-            l.struct_metrics().node_splits > splits0 + n / kpn as u64,
+            l.registry().snapshot().counter("list.node_splits") > splits0 + n / kpn as u64,
             "{kpn} keys/node: too few splits"
         );
         l.check_invariants();

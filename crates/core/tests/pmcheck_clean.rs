@@ -161,10 +161,13 @@ fn warm_shadow_read_path_makes_zero_pmem_writes() {
             0,
             "cache-assisted gets must not touch pmem with a single write"
         );
-        let m = list.struct_metrics();
-        assert!(m.shadow_hits > 0, "the warm image must actually be in use");
+        let m = list.registry().snapshot();
+        assert!(
+            m.counter("list.shadow_hits") > 0,
+            "the warm image must actually be in use"
+        );
         assert_eq!(
-            m.tag_hits > 0,
+            m.counter("list.tag_hits") > 0,
             keys_per_node == 256,
             "tags steer large nodes only"
         );

@@ -61,11 +61,14 @@ fn a_full_node_with_removed_keys_takes_an_insert_without_splitting() {
     for k in [30u64, 70, 120] {
         assert_eq!(list.remove(k), Some(k * 10));
     }
-    let (m0, sc0) = (list.struct_metrics(), split_count(&list, node));
+    let (m0, sc0) = (list.registry().snapshot(), split_count(&list, node));
     assert_eq!(list.insert(55, 550), None);
-    let m = list.struct_metrics().since(&m0);
+    let m = list.registry().snapshot().since(&m0);
     assert_eq!(list.node_count(), 1, "no split");
-    assert_eq!((m.node_purges, m.node_splits), (1, 0));
+    assert_eq!(
+        (m.counter("list.node_purges"), m.counter("list.node_splits")),
+        (1, 0)
+    );
     assert_eq!(split_count(&list, node), sc0 + 1, "a purge bumps the count");
     for k in 1..=16u64 {
         let want = (![3, 7, 12].contains(&k)).then_some(k * 100);
@@ -81,8 +84,11 @@ fn a_full_node_with_removed_keys_takes_an_insert_without_splitting() {
     assert_eq!(list.insert(57, 1), None);
     assert_eq!(list.node_count(), 1);
     assert_eq!(list.insert(58, 1), None);
-    let m = list.struct_metrics().since(&m0);
-    assert_eq!((m.node_purges, m.node_splits), (1, 1));
+    let m = list.registry().snapshot().since(&m0);
+    assert_eq!(
+        (m.counter("list.node_purges"), m.counter("list.node_splits")),
+        (1, 1)
+    );
     assert_eq!(list.node_count(), 2);
     assert_eq!(list.count_live(), 17);
     list.check_invariants();
@@ -92,10 +98,13 @@ fn a_full_node_with_removed_keys_takes_an_insert_without_splitting() {
 fn a_removed_first_key_keeps_its_slot_and_the_node_splits() {
     let list = full_node(false);
     assert_eq!(list.remove(10), Some(100));
-    let m0 = list.struct_metrics();
+    let m0 = list.registry().snapshot();
     assert_eq!(list.insert(55, 550), None);
-    let m = list.struct_metrics().since(&m0);
-    assert_eq!((m.node_purges, m.node_splits), (0, 1));
+    let m = list.registry().snapshot().since(&m0);
+    assert_eq!(
+        (m.counter("list.node_purges"), m.counter("list.node_splits")),
+        (0, 1)
+    );
     assert_eq!(list.node_count(), 2);
     assert_eq!(list.get(10), None);
     assert_eq!(list.get(55), Some(550));
@@ -109,9 +118,9 @@ fn a_list_without_removes_never_purges() {
         for i in 1..=5_000u64 {
             list.insert(i.wrapping_mul(0x9e37_79b9) % 1_000_003 + 1, i);
         }
-        let m = list.struct_metrics();
-        assert!(m.node_splits > 0, "{kpn} keys/node");
-        assert_eq!(m.node_purges, 0, "{kpn} keys/node");
+        let m = list.registry().snapshot();
+        assert!(m.counter("list.node_splits") > 0, "{kpn} keys/node");
+        assert_eq!(m.counter("list.node_purges"), 0, "{kpn} keys/node");
     }
 }
 
@@ -138,7 +147,7 @@ fn a_crash_anywhere_in_a_purge_and_claim_recovers_the_acked_state() {
                 list.remove(k);
             }
             list.sync();
-            let m0 = list.struct_metrics();
+            let m0 = list.registry().snapshot();
             let ctl = Arc::clone(list.space().pool(0).crash_controller());
             ctl.arm_after(crash_after);
             let done = run_crashable(|| {
@@ -148,7 +157,13 @@ fn a_crash_anywhere_in_a_purge_and_claim_recovers_the_acked_state() {
             .is_ok();
             ctl.disarm();
             if done {
-                assert_eq!(list.struct_metrics().since(&m0).node_purges, 1);
+                assert_eq!(
+                    list.registry()
+                        .snapshot()
+                        .since(&m0)
+                        .counter("list.node_purges"),
+                    1
+                );
                 break; // every pmem operation of the insert was a crash point
             }
             crashed += 1;
@@ -288,9 +303,9 @@ fn churn_history_is_linearizable(kpn: usize) {
         "{kpn} keys/node: violations: {:?}",
         result.violations
     );
-    let m = list.struct_metrics();
+    let m = list.registry().snapshot();
     assert!(
-        m.node_purges > 0,
+        m.counter("list.node_purges") > 0,
         "{kpn} keys/node: no purge raced the history"
     );
     assert_eq!(list.count_live(), stable.len() + 4 * live_per_thread);

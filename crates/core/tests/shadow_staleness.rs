@@ -145,9 +145,9 @@ fn stale_shadow_readers_stay_correct_under_splits_and_removes() {
         assert_eq!(list.get(k), Some(k * 100), "split-inserted key {k}");
     }
     list.check_invariants();
-    let m = list.struct_metrics();
+    let m = list.registry().snapshot();
     assert!(
-        m.shadow_invalidations > 0,
+        m.counter("list.shadow_invalidations") > 0,
         "splits and removes must have bumped the structure epoch"
     );
 }
@@ -378,7 +378,7 @@ fn a_stale_bottom_level_image_costs_a_hop_never_a_key() {
     // named by its first key; the frozen image holds none but these.
     let imaged: HashSet<u64> = bottom_level(&list).keys().copied().collect();
     let mut moved_removes = 0;
-    let m0 = list.struct_metrics();
+    let m0 = list.registry().snapshot();
     list.with_shadow_frozen(|| {
         // Two keys into every gap: each imaged node overflows and splits.
         for k in (1..=4_000u64).filter(|k| k % 3 != 1) {
@@ -418,16 +418,17 @@ fn a_stale_bottom_level_image_costs_a_hop_never_a_key() {
             assert_eq!(list.scan(k, 5), want, "scan from {k}");
         }
     });
-    let m = list.struct_metrics().since(&m0);
+    let m = list.registry().snapshot().since(&m0);
     assert_eq!(
-        m.shadow_rebuilds, 0,
+        m.counter("list.shadow_rebuilds"),
+        0,
         "the image stayed the one imaged before the splits"
     );
     assert!(
-        moved_removes > 0 && m.hops_per_level[0] >= moved_removes,
+        moved_removes > 0 && m.counter("list.hops.l00") >= moved_removes,
         "moved keys are one hop past their imaged node: {} hops, {moved_removes} \
          second removes of moved keys",
-        m.hops_per_level[0]
+        m.counter("list.hops.l00")
     );
     for (&k, &v) in &model {
         assert_eq!(list.get(k), Some(v));
@@ -450,8 +451,13 @@ fn disabled_shadow_still_serves_and_counts_nothing() {
     }
     warm(&list, 1..=400);
     assert_eq!(list.shadow_entries(), 0);
-    let m = list.struct_metrics();
-    assert_eq!(m.shadow_hits + m.shadow_misses + m.shadow_rebuilds, 0);
+    let m = list.registry().snapshot();
+    assert_eq!(
+        m.counter("list.shadow_hits")
+            + m.counter("list.shadow_misses")
+            + m.counter("list.shadow_rebuilds"),
+        0
+    );
     for k in 1..=400u64 {
         assert_eq!(list.get(k), Some(k));
     }

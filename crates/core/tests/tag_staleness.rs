@@ -166,14 +166,18 @@ fn insert_finds_an_untagged_key_behind_split_erased_holes() {
     // The split moves 33..=64 out of slots 1..=32; 2..=32 stay behind them.
     list.insert(65, 650);
     assert_eq!(list.node_count(), 2);
-    assert_eq!(list.struct_metrics().node_splits, 1);
+    assert_eq!(list.registry().snapshot().counter("list.node_splits"), 1);
 
     disturb(&list, Disturb::Zero);
-    let (m0, r0) = (list.struct_metrics(), pmem_reads(&list));
+    let (m0, r0) = (list.registry().snapshot(), pmem_reads(&list));
     assert_eq!(list.insert(20, 7), Some(200), "20 was there: an update");
-    let m = list.struct_metrics().since(&m0);
-    assert_eq!(m.tag_hits, 0, "the probe missed");
-    assert_eq!(m.tag_fallbacks, 0, "and no scan backed the miss up");
+    let m = list.registry().snapshot().since(&m0);
+    assert_eq!(m.counter("list.tag_hits"), 0, "the probe missed");
+    assert_eq!(
+        m.counter("list.tag_fallbacks"),
+        0,
+        "and no scan backed the miss up"
+    );
     let streamed = pmem_reads(&list) - r0;
     assert_eq!(list.get(20), Some(7));
     assert_eq!(
@@ -184,9 +188,15 @@ fn insert_finds_an_untagged_key_behind_split_erased_holes() {
     list.check_invariants(); // includes: no key stored twice in a node
 
     // That stream refilled the node's tags: the next writer is steered.
-    let (m0, r0) = (list.struct_metrics(), pmem_reads(&list));
+    let (m0, r0) = (list.registry().snapshot(), pmem_reads(&list));
     assert_eq!(list.insert(9, 8), Some(90));
-    assert_eq!(list.struct_metrics().since(&m0).tag_hits, 1);
+    assert_eq!(
+        list.registry()
+            .snapshot()
+            .since(&m0)
+            .counter("list.tag_hits"),
+        1
+    );
     assert!(
         pmem_reads(&list) - r0 + 8 <= streamed,
         "steered: the 8-line key array is not streamed again"
@@ -218,13 +228,16 @@ fn fresh_inserts_stream_the_key_array_once() {
     // A fixed odd multiplier scatters the keys over the nodes.
     let key_of = |i: u64| i.wrapping_mul(0x9e37_79b9) % 1_000_003 + 1;
     let n = 20_000u64;
-    let (m0, r0) = (list.struct_metrics(), pmem_reads(&list));
+    let (m0, r0) = (list.registry().snapshot(), pmem_reads(&list));
     for i in 1..=n {
         assert_eq!(list.insert(key_of(i), i), None);
     }
     let per_insert = (pmem_reads(&list) - r0) as f64 / n as f64;
     assert_eq!(
-        list.struct_metrics().since(&m0).tag_fallbacks,
+        list.registry()
+            .snapshot()
+            .since(&m0)
+            .counter("list.tag_fallbacks"),
         0,
         "no writer runs the linear scan"
     );
@@ -250,40 +263,53 @@ fn fresh_inserts_stream_the_key_array_once() {
 fn a_warm_get_reads_four_pmem_lines_and_hops_nowhere() {
     let list = build(10, 256, false);
     let n = 20_000u64;
-    let m0 = list.struct_metrics();
+    let m0 = list.registry().snapshot();
     // Scattered order, as a hashed load arrives.
     for i in 0..n {
         let k = i * 7_919 % n + 1;
         list.insert(k * 7, k);
     }
     assert_eq!(
-        list.struct_metrics().since(&m0).tag_fallbacks,
+        list.registry()
+            .snapshot()
+            .since(&m0)
+            .counter("list.tag_fallbacks"),
         0,
         "an insert-only load never runs the reader's scan"
     );
     for k in 1..=n {
         list.get(k * 7); // refreshes the image regions the last splits aged
     }
-    let m0 = list.struct_metrics();
+    let m0 = list.registry().snapshot();
     for k in 1..=n {
         let r0 = pmem_reads(&list);
         assert_eq!(list.get(k * 7), Some(k));
         assert_eq!(pmem_reads(&list) - r0, 4, "warm get of {}", k * 7);
     }
-    let m = list.struct_metrics().since(&m0);
-    assert_eq!(m.hops_per_level[0], 0, "the image lands on the node");
-    assert_eq!(m.tag_fallbacks, 0, "a filled node needs no fallback scan");
+    let m = list.registry().snapshot().since(&m0);
+    assert_eq!(m.counter("list.hops.l00"), 0, "the image lands on the node");
+    assert_eq!(
+        m.counter("list.tag_fallbacks"),
+        0,
+        "a filled node needs no fallback scan"
+    );
     assert!(
-        m.tag_hits >= n * 9 / 10,
+        m.counter("list.tag_hits") >= n * 9 / 10,
         "keys[0] hits aside: {}",
-        m.tag_hits
+        m.counter("list.tag_hits")
     );
 
     // An absent key is never answered from the tags: it pays the hop that
     // proves the walk may stop, and the scan.
-    let (m0, r0) = (list.struct_metrics(), pmem_reads(&list));
+    let (m0, r0) = (list.registry().snapshot(), pmem_reads(&list));
     assert_eq!(list.get(11), None);
-    assert_eq!(list.struct_metrics().since(&m0).tag_fallbacks, 1);
+    assert_eq!(
+        list.registry()
+            .snapshot()
+            .since(&m0)
+            .counter("list.tag_fallbacks"),
+        1
+    );
     assert!(pmem_reads(&list) - r0 >= 32);
 }
 
@@ -352,13 +378,19 @@ fn disturbed_history_is_linearizable(shadow_tuning: Option<(usize, usize)>) {
         result.violations
     );
     assert!(result.writes_checked > 1_000);
-    let m = list.struct_metrics();
-    assert!(m.node_splits > 10, "splits must have raced the searches");
-    assert!(m.tag_hits > 0 && m.tag_fallbacks > 0);
+    let m = list.registry().snapshot();
+    assert!(
+        m.counter("list.node_splits") > 10,
+        "splits must have raced the searches"
+    );
+    assert!(m.counter("list.tag_hits") > 0 && m.counter("list.tag_fallbacks") > 0);
     if let Some((capacity, _)) = shadow_tuning {
         assert!(list.node_count() > capacity / 2, "level 0 must not fit");
         assert!(list.shadow_entries() <= capacity);
-        assert!(m.hops_per_level[0] > 0, "level 0 is walked, not imaged");
+        assert!(
+            m.counter("list.hops.l00") > 0,
+            "level 0 is walked, not imaged"
+        );
     }
     list.check_invariants();
 }
@@ -410,7 +442,10 @@ fn concurrent_inserts_of_one_key_set_never_duplicate_a_key() {
         result.violations
     );
     assert_eq!(result.writes_checked as u64, 4 * rounds * keyset);
-    assert!(list.struct_metrics().node_splits >= 8, "splits must race");
+    assert!(
+        list.registry().snapshot().counter("list.node_splits") >= 8,
+        "splits must race"
+    );
     assert_eq!(list.count_live(), keyset as usize);
     list.check_invariants(); // includes: no key stored twice in a node
 }
@@ -475,11 +510,11 @@ fn a_moved_key_is_never_answered_from_unrepaired_split_residue() {
         let residue = list.node_count() == 2 && list.count_live() == 64 + 32;
         residue_states += residue as u32;
         list.map_tags(|_| tag_50);
-        let m0 = list.struct_metrics();
+        let m0 = list.registry().snapshot();
         assert_eq!(list.get(50), Some(500), "crash@{crash_after}");
-        let m = list.struct_metrics().since(&m0);
+        let m = list.registry().snapshot().since(&m0);
         assert!(
-            m.shadow_misses >= 1,
+            m.counter("list.shadow_misses") >= 1,
             "crash@{crash_after}: the first consult lands on a stale epoch"
         );
         if residue {

@@ -47,7 +47,7 @@
 //! names a block that already left the list is **self-healed** by swinging
 //! the head to a freshly carved chunk (the untrustworthy suffix is
 //! abandoned — a bounded, deliberate leak in an already-corrupt state; see
-//! [`AllocCounters::heals`]). The guard's re-read discipline shrinks, but
+//! the `alloc.heals` counter). The guard's re-read discipline shrinks, but
 //! cannot close, the underlying window; frees are rare (failed link-ins
 //! and crash cleanup), matching the thesis's usage.
 //!
@@ -57,9 +57,9 @@
 //! reclaimed only by a full reformat, mirroring the thesis's own
 //! bounded-leak stance.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
+use obs::{Counter, Registry};
 use pmem::{thread, Placement, MAX_THREADS};
 use riv::{RivPtr, RivSpace};
 
@@ -79,28 +79,6 @@ pub trait Reachability: Sync {
     /// positions, so there is no logged predecessor to start from:
     /// implementations run a self-contained read-only search.
     fn is_linked(&self, key: u64, block: RivPtr) -> bool;
-}
-
-/// DRAM-only snapshot of the allocator's path counters (reset on restart).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AllocCounters {
-    /// Leases served by popping an arena free list directly (counted once
-    /// per lease, for the block it hands straight back).
-    pub fast_allocs: u64,
-    /// Leases that had to provision (carve) a new chunk first.
-    pub slow_allocs: u64,
-    /// Allocations served from the DRAM magazine: no pmem op at all.
-    pub magazine_hits: u64,
-    /// Lease acquisitions (one persisted log + one multi-pop CAS each).
-    pub leases: u64,
-    /// Total blocks claimed across all leases.
-    pub lease_blocks: u64,
-    /// Outbox flushes (one fence + one `LinkInTail` each).
-    pub outbox_flushes: u64,
-    /// Total blocks returned through outbox flushes.
-    pub outbox_blocks: u64,
-    /// Corrupt-head self-heals (see module docs "Known windows").
-    pub heals: u64,
 }
 
 /// Per-thread DRAM state for the lease path. Blocks in `magazine` are
@@ -129,14 +107,34 @@ pub struct Allocator {
     /// One slot per dense thread id; the Mutex is uncontended in normal
     /// operation (only [`Allocator::drain_all`] crosses threads).
     caches: Vec<Mutex<ThreadCache>>,
-    fast_allocs: AtomicU64,
-    slow_allocs: AtomicU64,
-    magazine_hits: AtomicU64,
-    leases: AtomicU64,
-    lease_blocks: AtomicU64,
-    outbox_flushes: AtomicU64,
-    outbox_blocks: AtomicU64,
-    heals: AtomicU64,
+    /// The deployment's metrics registry: the path counters below are
+    /// registered in it as `alloc.*`, and the list built on this
+    /// allocator registers its `list.*` counters here too. DRAM-only
+    /// (reset on restart) and never gated by `ObsLevel`.
+    registry: Arc<Registry>,
+    /// `alloc.fast`: leases served by popping an arena free list directly
+    /// (counted once per lease).
+    fast: Arc<Counter>,
+    /// `alloc.slow`: leases that had to provision (carve) a new chunk
+    /// first.
+    slow: Arc<Counter>,
+    /// `alloc.magazine_hits`: allocations served from the DRAM magazine,
+    /// with no pmem op at all.
+    magazine_hits: Arc<Counter>,
+    /// `alloc.leases`: lease acquisitions (one persisted log + one
+    /// multi-pop CAS each).
+    leases: Arc<Counter>,
+    /// `alloc.lease_blocks`: total blocks claimed across all leases.
+    lease_blocks: Arc<Counter>,
+    /// `alloc.outbox_flushes`: outbox flushes (one fence + one
+    /// `LinkInTail` each).
+    outbox_flushes: Arc<Counter>,
+    /// `alloc.outbox_blocks`: total blocks returned through outbox
+    /// flushes.
+    outbox_blocks: Arc<Counter>,
+    /// `alloc.heals`: corrupt-head self-heals (module docs "Known
+    /// windows").
+    heals: Arc<Counter>,
 }
 
 impl std::fmt::Debug for Allocator {
@@ -162,44 +160,29 @@ impl Allocator {
             "lease size must be 1..=LEASE_MAX_BLOCKS (one log slot)"
         );
         let layout = PoolLayout::for_config(&cfg);
+        let registry = Arc::new(Registry::new());
         Self {
             space,
             cfg,
             layout,
             caches: (0..MAX_THREADS).map(|_| Mutex::default()).collect(),
-            fast_allocs: AtomicU64::new(0),
-            slow_allocs: AtomicU64::new(0),
-            magazine_hits: AtomicU64::new(0),
-            leases: AtomicU64::new(0),
-            lease_blocks: AtomicU64::new(0),
-            outbox_flushes: AtomicU64::new(0),
-            outbox_blocks: AtomicU64::new(0),
-            heals: AtomicU64::new(0),
+            fast: registry.counter("alloc.fast"),
+            slow: registry.counter("alloc.slow"),
+            magazine_hits: registry.counter("alloc.magazine_hits"),
+            leases: registry.counter("alloc.leases"),
+            lease_blocks: registry.counter("alloc.lease_blocks"),
+            outbox_flushes: registry.counter("alloc.outbox_flushes"),
+            outbox_blocks: registry.counter("alloc.outbox_blocks"),
+            heals: registry.counter("alloc.heals"),
+            registry,
         }
     }
 
-    /// `(fast, slow)` allocation-path hit counts: `fast` popped a block off
-    /// an arena free list directly, `slow` had to provision a fresh chunk
-    /// first. DRAM-only diagnostics (reset on restart).
-    pub fn alloc_path_hits(&self) -> (u64, u64) {
-        (
-            self.fast_allocs.load(Relaxed),
-            self.slow_allocs.load(Relaxed),
-        )
-    }
-
-    /// Snapshot of every allocator path counter.
-    pub fn counters(&self) -> AllocCounters {
-        AllocCounters {
-            fast_allocs: self.fast_allocs.load(Relaxed),
-            slow_allocs: self.slow_allocs.load(Relaxed),
-            magazine_hits: self.magazine_hits.load(Relaxed),
-            leases: self.leases.load(Relaxed),
-            lease_blocks: self.lease_blocks.load(Relaxed),
-            outbox_flushes: self.outbox_flushes.load(Relaxed),
-            outbox_blocks: self.outbox_blocks.load(Relaxed),
-            heals: self.heals.load(Relaxed),
-        }
+    /// The deployment's metrics registry (`alloc.*` counters, plus
+    /// whatever the structure on top registers).
+    #[inline]
+    pub fn registry(&self) -> &Arc<Registry> {
+        &self.registry
     }
 
     /// Lock a thread-cache slot, tolerating poison: a simulated-crash
@@ -259,19 +242,16 @@ impl Allocator {
             pool.write(self.layout.alloc_meta_off + META_NEXT_CHUNK, 1);
             pool.persist(self.layout.alloc_meta_off + META_NEXT_CHUNK, 1);
             let chunk_id = self.reserve_chunk_id(pool_id);
-            let runs = self.carve_chunk(epoch, pool_id, chunk_id);
+            let firsts = self.carve_chunk(epoch, pool_id, chunk_id);
             self.space.register_chunk(
                 pool_id,
                 chunk_id,
                 self.layout.chunk_base(&self.cfg, chunk_id),
             );
-            for (arena, (first, last)) in runs.into_iter().enumerate() {
+            for (arena, first) in firsts.into_iter().enumerate() {
                 let head = self.layout.arena_head(arena);
-                let tail = self.layout.arena_tail(arena);
                 pool.write(head, first.raw());
-                pool.write(tail, last.raw());
                 pool.persist(head, 1);
-                pool.persist(tail, 1);
             }
         }
     }
@@ -306,7 +286,7 @@ impl Allocator {
             }
         }
         if let Some(b) = cache.magazine.pop() {
-            self.magazine_hits.fetch_add(1, Relaxed);
+            self.magazine_hits.inc();
             return b;
         }
         self.lease_refill(&mut cache, epoch, pool_id, reach)
@@ -387,8 +367,8 @@ impl Allocator {
                 continue;
             }
             // When the caller holds an open flush epoch (the list's
-            // prepare-then-publish insert path), the head advance, the
-            // block stamps, and the tail hint all ride the op's single
+            // prepare-then-publish insert path), the head advance and the
+            // block stamps ride the op's single
             // sweep fence instead of fencing here — the lease log above is
             // already durable, and a crash before the sweep falls into the
             // same stale-lease window the log machinery tolerates (the
@@ -416,26 +396,14 @@ impl Allocator {
             if !in_epoch {
                 self.space.persist(claimed[0], 1);
             }
-            // If the tail hint pointed into the claimed prefix, advance it
-            // past the removed blocks.
-            let tail_slot = self.layout.arena_tail(arena);
-            let tail_raw = pool.read(tail_slot);
-            if claimed.iter().any(|b| b.raw() == tail_raw) {
-                let _ = pool.cas(tail_slot, tail_raw, cur.raw());
-                if in_epoch {
-                    pool.flush_deferred(tail_slot, 1);
-                } else {
-                    pool.persist(tail_slot, 1);
-                }
-            }
-            self.leases.fetch_add(1, Relaxed);
-            self.lease_blocks.fetch_add(claimed.len() as u64, Relaxed);
+            self.leases.inc();
+            self.lease_blocks.add(claimed.len() as u64);
             let path = if provisioned.is_some() {
-                &self.slow_allocs
+                &self.slow
             } else {
-                &self.fast_allocs
+                &self.fast
             };
-            path.fetch_add(1, Relaxed);
+            path.inc();
             // Hand back the first block; park the rest in list order.
             cache.magazine.extend(claimed.iter().skip(1).rev());
             cache.lease_epoch = epoch;
@@ -503,10 +471,7 @@ impl Allocator {
         let (first, last) = self.provision_chunk_unlinked(epoch, pool_id, reach);
         if pool.cas(head_slot, suspect_raw, first.raw()).is_ok() {
             pool.persist(head_slot, 1);
-            let tail_slot = self.layout.arena_tail(arena);
-            pool.write(tail_slot, last.raw());
-            pool.persist(tail_slot, 1);
-            self.heals.fetch_add(1, Relaxed);
+            self.heals.inc();
         } else {
             // Lost the race to another healer; attach the fresh chunk
             // normally instead of leaking it.
@@ -623,9 +588,8 @@ impl Allocator {
         // flush dedups against `last`'s already-pending header line).
         self.space.persist(last, 1);
         self.link_chain_in_tail(epoch, pool_id, arena, first, last);
-        self.outbox_flushes.fetch_add(1, Relaxed);
-        self.outbox_blocks
-            .fetch_add(cache.outbox.len() as u64, Relaxed);
+        self.outbox_flushes.inc();
+        self.outbox_blocks.add(cache.outbox.len() as u64);
         cache.outbox.clear();
     }
 
@@ -826,7 +790,6 @@ impl Allocator {
             span
         };
         let arena = thread::current().id % self.cfg.num_arenas;
-        let _ = pool;
         // A chain whose last block is free and unlinked was never attached
         // (registered-but-unlinked chunks are invisible to other threads,
         // so the checks are stable); the walk-based push is additionally a
@@ -875,33 +838,38 @@ impl Allocator {
 
     /// Write the free-block headers of a chunk and chain them into one run
     /// per arena (used only by the single-threaded [`Allocator::format`]
-    /// to seed every arena). Returns `(first, last)` per arena.
-    fn carve_chunk(&self, epoch: u64, pool_id: u16, chunk_id: u16) -> Vec<(RivPtr, RivPtr)> {
+    /// to seed every arena). Returns each arena's first block.
+    fn carve_chunk(&self, epoch: u64, pool_id: u16, chunk_id: u16) -> Vec<RivPtr> {
         let pool = self.space.pool(pool_id);
         let base = self.layout.chunk_base(&self.cfg, chunk_id);
-        let runs = self.chunk_runs(pool_id, chunk_id);
-        let per = self.cfg.blocks_per_chunk / self.cfg.num_arenas as u64;
-        for (arena, &(first, _)) in runs.iter().enumerate() {
-            let count = if arena == self.cfg.num_arenas - 1 {
-                self.cfg.blocks_per_chunk - per * (self.cfg.num_arenas as u64 - 1)
-            } else {
-                per
-            };
-            for i in 0..count {
-                let blk = first.add((i * self.cfg.block_words) as u32);
-                let next = if i + 1 < count {
-                    blk.add(self.cfg.block_words as u32)
+        let arenas = self.cfg.num_arenas as u64;
+        let per = self.cfg.blocks_per_chunk / arenas;
+        let firsts = (0..arenas)
+            .map(|arena| {
+                let start = arena * per;
+                let count = if arena == arenas - 1 {
+                    self.cfg.blocks_per_chunk - start
                 } else {
-                    RivPtr::NULL
+                    per
                 };
-                self.space_write_unresolved(pool_id, base, blk, BLK_EPOCH, epoch);
-                self.space_write_unresolved(pool_id, base, blk, BLK_KIND, KIND_FREE);
-                self.space_write_unresolved(pool_id, base, blk, BLK_NEXT_FREE, next.raw());
-            }
-        }
+                let first = RivPtr::new(pool_id, chunk_id, (start * self.cfg.block_words) as u32);
+                for i in 0..count {
+                    let blk = first.add((i * self.cfg.block_words) as u32);
+                    let next = if i + 1 < count {
+                        blk.add(self.cfg.block_words as u32)
+                    } else {
+                        RivPtr::NULL
+                    };
+                    self.space_write_unresolved(pool_id, base, blk, BLK_EPOCH, epoch);
+                    self.space_write_unresolved(pool_id, base, blk, BLK_KIND, KIND_FREE);
+                    self.space_write_unresolved(pool_id, base, blk, BLK_NEXT_FREE, next.raw());
+                }
+                first
+            })
+            .collect();
         // One fence for the whole chunk.
         pool.persist(base, self.cfg.chunk_words());
-        runs
+        firsts
     }
 
     /// Write a block header word before the chunk is registered in the
@@ -912,35 +880,15 @@ impl Allocator {
         pool.write(base + blk.offset() as u64 + field, v);
     }
 
-    /// The `(first, last)` block pointers of each arena's run in a chunk.
-    fn chunk_runs(&self, pool_id: u16, chunk_id: u16) -> Vec<(RivPtr, RivPtr)> {
-        let per = self.cfg.blocks_per_chunk / self.cfg.num_arenas as u64;
-        (0..self.cfg.num_arenas)
-            .map(|arena| {
-                let start = arena as u64 * per;
-                let end = if arena == self.cfg.num_arenas - 1 {
-                    self.cfg.blocks_per_chunk
-                } else {
-                    start + per
-                };
-                let first = RivPtr::new(pool_id, chunk_id, (start * self.cfg.block_words) as u32);
-                let last =
-                    RivPtr::new(pool_id, chunk_id, ((end - 1) * self.cfg.block_words) as u32);
-                (first, last)
-            })
-            .collect()
-    }
-
     /// `LinkInTail` (Function 6), reworked: the chain `first..=last` is
-    /// appended by **walking the live links from the arena head** instead
-    /// of trusting the persisted tail pointer. With blocks recycling
-    /// through pop/initialize cycles, a helped or crash-stale tail can
-    /// reference a block that already left the list, silently detaching
-    /// every subsequent push (a failure mode our contended benchmarks
-    /// hit). The walk costs O(list length) per push — frees are rare by
-    /// design (§4.3.3) — and doubles as a membership proof: encountering
-    /// `first` in-list makes re-pushes (idempotent recovery, Function 5)
-    /// a no-op. The tail slot is kept as a non-authoritative hint.
+    /// appended by **walking the live links from the arena head**; no tail
+    /// pointer is kept. With blocks recycling through pop/initialize
+    /// cycles, a helped or crash-stale tail can reference a block that
+    /// already left the list, silently detaching every subsequent push (a
+    /// failure mode our contended benchmarks hit). The walk costs O(list
+    /// length) per push — frees are rare by design (§4.3.3) — and doubles
+    /// as a membership proof: encountering `first` in-list makes re-pushes
+    /// (idempotent recovery, Function 5) a no-op.
     ///
     /// Safety of the append CAS: a block observed in-list with
     /// `next == 0` is the true tail (pops require `next != 0`, so a tail
@@ -967,10 +915,6 @@ impl Allocator {
             if next == 0 {
                 if self.space.cas(next_field, 0, first.raw()).is_ok() {
                     self.space.persist(next_field, 1);
-                    // Best-effort tail hint (never trusted as an anchor).
-                    let tail_slot = self.layout.arena_tail(arena);
-                    pool.write(tail_slot, last.raw());
-                    pool.persist(tail_slot, 1);
                     return;
                 }
                 continue; // a concurrent push appended; re-read our next

@@ -8,7 +8,6 @@
 //! [chunk_table_off ..)         RIV chunk table (riv::RivSpace)
 //! [alloc_meta_off ..)          next_chunk_id (monotonic chunk reservation)
 //! [arena_heads_off ..)         headBlocks[a], one cache line per arena
-//! [arena_tails_off ..)         tailBlocks[a], one cache line per arena
 //! [logs_off ..)                per-thread allocation logs, LOG_SLOT_LINES
 //!                              cache lines each (line 0: epoch/kind/fields,
 //!                              line 1: lease block-pointer overflow)
@@ -92,7 +91,6 @@ pub struct PoolLayout {
     pub chunk_table_off: u64,
     pub alloc_meta_off: u64,
     pub arena_heads_off: u64,
-    pub arena_tails_off: u64,
     pub logs_off: u64,
     pub data_off: u64,
 }
@@ -107,14 +105,12 @@ impl PoolLayout {
         let chunk_table_off = align(cfg.root_words);
         let alloc_meta_off = align(chunk_table_off + RivSpace::chunk_table_words(cfg.max_chunks));
         let arena_heads_off = align(alloc_meta_off + CACHE_LINE_WORDS);
-        let arena_tails_off = align(arena_heads_off + cfg.num_arenas as u64 * CACHE_LINE_WORDS);
-        let logs_off = align(arena_tails_off + cfg.num_arenas as u64 * CACHE_LINE_WORDS);
+        let logs_off = align(arena_heads_off + cfg.num_arenas as u64 * CACHE_LINE_WORDS);
         let data_off = align(logs_off + MAX_THREADS as u64 * LOG_SLOT_WORDS);
         Self {
             chunk_table_off,
             alloc_meta_off,
             arena_heads_off,
-            arena_tails_off,
             logs_off,
             data_off,
         }
@@ -125,12 +121,6 @@ impl PoolLayout {
     #[inline]
     pub fn arena_head(&self, arena: usize) -> u64 {
         self.arena_heads_off + arena as u64 * CACHE_LINE_WORDS
-    }
-
-    /// Offset of `tailBlocks[arena]`.
-    #[inline]
-    pub fn arena_tail(&self, arena: usize) -> u64 {
-        self.arena_tails_off + arena as u64 * CACHE_LINE_WORDS
     }
 
     /// Offset of thread `t`'s allocation log ([`LOG_SLOT_LINES`] cache
@@ -165,7 +155,6 @@ mod tests {
             l.chunk_table_off,
             l.alloc_meta_off,
             l.arena_heads_off,
-            l.arena_tails_off,
             l.logs_off,
             l.data_off,
         ];
@@ -175,7 +164,7 @@ mod tests {
         for o in offs {
             assert_eq!(o % CACHE_LINE_WORDS, 0, "offset {o} not line aligned");
         }
-        assert!(l.arena_tails_off - l.arena_heads_off >= cfg.num_arenas as u64 * 8);
+        assert!(l.logs_off - l.arena_heads_off >= cfg.num_arenas as u64 * CACHE_LINE_WORDS);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod blocks;
 pub mod layout;
 pub mod log;
 
-pub use alloc::{AllocCounters, Allocator, NoNav, Reachability};
+pub use alloc::{Allocator, NoNav, Reachability};
 pub use blocks::{
     BLK_CLIENT, BLK_EPOCH, BLK_HEADER_WORDS, BLK_KIND, BLK_NEXT_FREE, KIND_FREE, KIND_NODE,
     KIND_RAW, NEXT_POPPED,
@@ -401,10 +401,10 @@ mod tests {
             "magazine hits must not write pmem"
         );
         assert_eq!(after.fences, before.fences, "magazine hits must not fence");
-        let c = a.counters();
-        assert_eq!(c.leases, 1);
-        assert_eq!(c.lease_blocks, 7);
-        assert_eq!(c.magazine_hits, 6);
+        let c = a.registry().snapshot();
+        assert_eq!(c.counter("alloc.leases"), 1);
+        assert_eq!(c.counter("alloc.lease_blocks"), 7);
+        assert_eq!(c.counter("alloc.magazine_hits"), 6);
     }
 
     #[test]
@@ -462,8 +462,25 @@ mod tests {
             "outbox flush must batch fences, saw {}",
             after.fences - mid.fences
         );
-        assert_eq!(a.counters().outbox_flushes, 1);
-        assert_eq!(a.counters().outbox_blocks, 8);
+        let c = a.registry().snapshot();
+        assert_eq!(c.counter("alloc.outbox_flushes"), 1);
+        assert_eq!(c.counter("alloc.outbox_blocks"), 8);
+    }
+
+    #[test]
+    fn eager_free_of_a_node_fences_twice() {
+        // One fence commits the de-initialized block, one the link that
+        // appends it to the free list; nothing else is persisted.
+        let a = build(1, true);
+        pmem::thread::register(21, 0);
+        let b = a.alloc(EPOCH1, 0, RivPtr::NULL, 1, &NoNav);
+        a.space().write(b.add(BLK_KIND as u32), KIND_NODE);
+        a.space().persist(b, 1);
+        pmem::audit::begin();
+        a.free(EPOCH1, 0, b);
+        let rec = pmem::audit::end();
+        assert_eq!(rec.fences, 2, "eager free: de-init fence + link fence");
+        assert_eq!(a.space().read(b.add(BLK_KIND as u32)), KIND_FREE);
     }
 
     #[test]
@@ -494,7 +511,7 @@ mod tests {
         let a = build_cfg(1, false, cfg);
         pmem::thread::register(15, 0);
         let _b1 = a.alloc(EPOCH1, 0, RivPtr::NULL, 1, &NoNav); // lease
-        let leased = a.counters().lease_blocks;
+        let leased = a.registry().snapshot().counter("alloc.lease_blocks");
         assert!(leased > 1, "test needs a multi-block lease");
         let restarted = Allocator::new(Arc::clone(a.space()), cfg);
         // All leased blocks are RAW/POPPED orphans now; the stale log names
@@ -575,7 +592,10 @@ mod tests {
             let b = a.alloc(EPOCH1, 0, RivPtr::NULL, i + 2, &NoNav);
             assert_ne!(b, victim, "a linked-out block must never be re-allocated");
         }
-        assert!(a.counters().heals >= 1, "the corrupt head must be healed");
+        assert!(
+            a.registry().snapshot().counter("alloc.heals") >= 1,
+            "the corrupt head must be healed"
+        );
         assert!(
             a.chunks_provisioned(0) > chunks_before,
             "healing provisions a fresh chunk for the arena"
@@ -603,7 +623,7 @@ mod tests {
             assert_ne!(b, victim, "lease multi-pop claimed a linked-out block");
             assert!(seen.insert(b), "block {b} handed out twice");
         }
-        assert!(a.counters().heals >= 1);
+        assert!(a.registry().snapshot().counter("alloc.heals") >= 1);
     }
 
     #[test]

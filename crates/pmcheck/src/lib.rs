@@ -19,7 +19,6 @@
 //! | PMS03 | `compare_exchange*` whose *success* ordering is `Relaxed` |
 //! | PMS04 | raw RIV offset arithmetic (`.raw() +`, `from_raw(a + b)`) outside the `riv` crate |
 //! | PMS05 | test calls `simulate_crash*` but never recovers/asserts afterwards |
-//! | PMS06 | use of the removed `collect_stats` API (replaced by `ObsLevel`) |
 //! | PMS07 | `exempt_scope("tag")` with a tag not sanctioned in `pmcheck.toml` |
 //! | PMS08 | Release-published atomic loaded `Relaxed` in a persist-affecting function |
 //! | PMS09 | structure mutation with no reachable `StructureEpoch` bump before unlock |
@@ -28,8 +27,8 @@
 //! | PMS12 | explicit fence inside an open `FlushEpoch` (the prepare phase must defer to the sweep) |
 //!
 //! PMS01/02/03/04 apply to non-test code only (crash tests legitimately
-//! leave writes unflushed); PMS05 applies to test code only; PMS06/07
-//! apply everywhere outside `#[cfg(test)]` regions.
+//! leave writes unflushed); PMS05 applies to test code only; PMS07
+//! applies everywhere outside `#[cfg(test)]` regions.
 //!
 //! PMS01/PMS02/PMS05 are *interprocedural*: [`lint_sources`] extracts
 //! per-function event summaries ([`summary`]), runs a call-graph fixpoint
@@ -88,7 +87,6 @@ pub const RULES: &[(&str, &str)] = &[
         "PMS05",
         "simulate_crash in a test without a recovery assertion",
     ),
-    ("PMS06", "removed collect_stats API (use ObsLevel)"),
     ("PMS07", "exempt_scope tag not sanctioned in pmcheck.toml"),
     (
         "PMS08",
@@ -828,21 +826,6 @@ pub fn lint_file(rel: &str, src: &str, allow: &Allowlist) -> Vec<Finding> {
                     .into(),
             );
         }
-    }
-
-    // PMS06 — the `collect_stats` shim is a removed API: the deprecated
-    // `ListBuilder::collect_stats(bool)` migration shim was deleted once
-    // every caller moved to `ObsLevel`, so any occurrence (the definition
-    // included) is now a finding.
-    for c in occurrences(&stripped, 0..stripped.len(), ".collect_stats(") {
-        push(
-            "PMS06",
-            c,
-            fname(c),
-            "collect_stats was removed with the ObsLevel migration — set \
-             `obs: ObsLevel::...` instead"
-                .into(),
-        );
     }
 
     // PMS07 — every exempt_scope tag outside tests must be sanctioned in

@@ -142,23 +142,6 @@ fn pms05_crash_test_without_recovery_assert_is_caught() {
 }
 
 #[test]
-fn pms06_removed_collect_stats_api_is_caught() {
-    let src = "fn build() {\n\
-               \x20   let _ = upskiplist::ListBuilder::default().collect_stats(true);\n\
-               }\n";
-    assert_eq!(hits("crates/demo/src/a.rs", src), vec![("PMS06".into(), 2)]);
-    // The API is removed outright, so even the old definition site
-    // (core/src/list.rs, previously exempt) would be reported now.
-    let defn = "impl ListBuilder {\n\
-                \x20   fn reintroduced(self) -> Self { self.collect_stats(true) }\n\
-                }\n";
-    assert_eq!(
-        hits("crates/core/src/list.rs", defn),
-        vec![("PMS06".into(), 2)]
-    );
-}
-
-#[test]
 fn pms07_unsanctioned_exempt_tag_is_caught() {
     let src = "fn sneaky(p: &pmem::Pool) {\n\
                \x20   let _g = pmem::exempt_scope(\"rogue-tag\");\n\
