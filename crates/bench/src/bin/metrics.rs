@@ -174,7 +174,7 @@ fn main() {
 
     for sname in &structures {
         let d = Deployment {
-            obs: ObsLevel::Full,
+            obs: ObsLevel::Counters,
             ..Deployment::simple(records)
         };
         let t = build(sname, &d, desc_count, keys_per_node);

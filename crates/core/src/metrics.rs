@@ -19,7 +19,7 @@ use crate::config::MAX_HEIGHT;
 
 /// Pre-resolved counter handles for the list's hot paths.
 pub(crate) struct StructStats {
-    /// `ObsLevel::Counters` or `Full`: counters below are live.
+    /// `ObsLevel::Counters`: counters below are live.
     pub(crate) enabled: bool,
     /// Link/claim/update CASes that lost a race and retried.
     pub(crate) cas_retries: Arc<Counter>,

@@ -16,7 +16,8 @@
 //!   generalization of `pmem`'s `StatsSnapshot`).
 //! * [`ObsLevel`] — the workspace-wide switch replacing the ad-hoc
 //!   `collect_stats: bool` flags: `Off` (instrumentation compiled in but
-//!   never executed), `Counters`, and `Full` (counters + histograms).
+//!   never executed) and `Counters`. Latency histograms are recorded
+//!   wherever a [`Registry`] is handed to the driver, whatever the level.
 //! * [`OpKind`] — the operation-type tag used for per-op pmem attribution
 //!   (flushes/fences/reads *per* get/insert/scan/batch).
 //! * [`report::MetricsReport`] — JSON/CSV export consumed by the E11
@@ -31,19 +32,17 @@ use std::sync::{Arc, Mutex};
 /// How much instrumentation a component maintains.
 ///
 /// Replaces the bare `collect_stats: bool` that used to be threaded through
-/// `PoolConfig`/`ListBuilder`: histograms can now be enabled independently
-/// of counters, and `Off` promises the hot paths pay only a never-taken
-/// branch.
+/// `PoolConfig`/`ListBuilder`: `Off` promises the hot paths pay only a
+/// never-taken branch. Histograms are not gated by the level; they are
+/// recorded wherever a [`Registry`] is passed to the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum ObsLevel {
-    /// No counters, no histograms. Hot paths pay one predictable branch.
+    /// No counters. Hot paths pay one predictable branch.
     Off,
     /// Event counters (pool stats, structure counters). The default: this
     /// is what the seed's `collect_stats: true` maintained.
     #[default]
     Counters,
-    /// Counters plus latency histograms (per-op percentiles).
-    Full,
 }
 
 impl ObsLevel {
@@ -51,12 +50,6 @@ impl ObsLevel {
     #[inline]
     pub fn counters_enabled(self) -> bool {
         self != ObsLevel::Off
-    }
-
-    /// True when latency histograms are maintained too.
-    #[inline]
-    pub fn full(self) -> bool {
-        self == ObsLevel::Full
     }
 }
 
@@ -400,9 +393,6 @@ mod tests {
     fn obs_level_gates() {
         assert!(!ObsLevel::Off.counters_enabled());
         assert!(ObsLevel::Counters.counters_enabled());
-        assert!(!ObsLevel::Counters.full());
-        assert!(ObsLevel::Full.counters_enabled());
-        assert!(ObsLevel::Full.full());
         assert_eq!(ObsLevel::default(), ObsLevel::Counters);
     }
 

@@ -475,7 +475,7 @@ impl Allocator {
         } else {
             // Lost the race to another healer; attach the fresh chunk
             // normally instead of leaking it.
-            self.link_chain_in_tail(epoch, pool_id, arena, first, last);
+            self.link_chain_in_tail(pool_id, arena, first, last);
         }
     }
 
@@ -507,7 +507,7 @@ impl Allocator {
                 return;
             }
         }
-        self.link_chain_in_tail(epoch, pool_id, arena, obj, obj);
+        self.link_chain_in_tail(pool_id, arena, obj, obj);
     }
 
     /// [`Allocator::free`] with the list append deferred: the block is
@@ -575,7 +575,6 @@ impl Allocator {
             return;
         }
         let pool_id = cache.outbox_pool;
-        let epoch = cache.outbox_epoch;
         let arena = cache.outbox_arena;
         for w in cache.outbox.windows(2) {
             self.space.write(w[0].add(BLK_NEXT_FREE as u32), w[1].raw());
@@ -587,7 +586,7 @@ impl Allocator {
         // before the publishing CAS inside the walk can expose them (the
         // flush dedups against `last`'s already-pending header line).
         self.space.persist(last, 1);
-        self.link_chain_in_tail(epoch, pool_id, arena, first, last);
+        self.link_chain_in_tail(pool_id, arena, first, last);
         self.outbox_flushes.inc();
         self.outbox_blocks.add(cache.outbox.len() as u64);
         cache.outbox.clear();
@@ -736,7 +735,7 @@ impl Allocator {
         // splitting across arenas would strand 1 − 1/arenas of every chunk
         // when few threads are active.
         let (first, last) = self.provision_chunk_unlinked(epoch, pool_id, reach);
-        self.link_chain_in_tail(epoch, pool_id, arena, first, last);
+        self.link_chain_in_tail(pool_id, arena, first, last);
     }
 
     /// Log, carve, and register a new chunk (commit point) without linking
@@ -801,7 +800,7 @@ impl Allocator {
         if self.space.read(last.add(BLK_NEXT_FREE as u32)) != 0 {
             return; // something follows it ⇒ linked
         }
-        self.link_chain_in_tail(epoch, pool_id, arena, first, last);
+        self.link_chain_in_tail(pool_id, arena, first, last);
     }
 
     /// Write the free-block headers of a chunk as one whole-chunk chain.
@@ -894,14 +893,7 @@ impl Allocator {
     /// `next == 0` is the true tail (pops require `next != 0`, so a tail
     /// cannot be popped), and the next-word is never reused by clients,
     /// so the CAS can never land on live foreign state.
-    fn link_chain_in_tail(
-        &self,
-        _epoch: u64,
-        pool_id: u16,
-        arena: usize,
-        first: RivPtr,
-        last: RivPtr,
-    ) {
+    fn link_chain_in_tail(&self, pool_id: u16, arena: usize, first: RivPtr, last: RivPtr) {
         let pool = self.space.pool(pool_id);
         let head_slot = self.layout.arena_head(arena);
         let mut cur = RivPtr::from_raw(pool.read(head_slot));

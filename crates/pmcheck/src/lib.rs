@@ -28,17 +28,20 @@
 //!
 //! PMS01/02/03/04 apply to non-test code only (crash tests legitimately
 //! leave writes unflushed); PMS05 applies to test code only; PMS07
-//! applies everywhere outside `#[cfg(test)]` regions.
+//! applies everywhere except inside test functions (test files, `#[test]`
+//! functions and the file's test module).
 //!
-//! PMS01/PMS02/PMS05 are *interprocedural*: [`lint_sources`] extracts
-//! per-function event summaries ([`summary`]), runs a call-graph fixpoint
-//! ([`callgraph`]) and (a) discharges intra-procedural findings whose
-//! persist/assert obligation every caller provably meets — printed as
-//! "proven" instead of allowlisted — and (b) reports obligations that
-//! escape through call boundaries. PMS08–12 ([`rules`]) run over the same
-//! summaries; PMS12 additionally consumes the call graph's `fences`
-//! reachability fact, so a fence buried two calls deep inside an open
-//! epoch is still caught.
+//! One pass: [`lint_sources`] strips and splits each file once into
+//! per-function event summaries plus the file-level PMS03/04/07 sites
+//! ([`summary`]), runs a call-graph fixpoint over them ([`callgraph`]) and
+//! derives every rule from that. PMS01/02/05 are *interprocedural*: a
+//! direct write and a call that may leave writes unflushed are both dirty
+//! points, a finding whose persist/assert obligation every caller provably
+//! meets is printed as "proven" instead of allowlisted, and obligations
+//! that escape through call boundaries are reported at the call.
+//! PMS03/04/07 and PMS08–12 live in [`rules`]; PMS12 consumes the call
+//! graph's `fences` reachability fact, so a fence buried two calls deep
+//! inside an open epoch is still caught.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -456,8 +459,8 @@ fn is_ident(c: u8) -> bool {
 /// Split stripped source into functions by brace matching. `file_is_test`
 /// marks every function as test code (files under `tests/`); otherwise a
 /// function is test code if it follows a `#[test]`-ish attribute or sits
-/// after the file's `#[cfg(test)]` marker (the workspace convention puts
-/// the test module last).
+/// after the attribute that opens the file's test module (the workspace
+/// convention puts the test module last).
 pub fn split_functions(stripped: &str, file_is_test: bool) -> Vec<FnSpan> {
     let b = stripped.as_bytes();
     let cfg_test_at = stripped.find("#[cfg(test)]").unwrap_or(usize::MAX);
@@ -531,329 +534,6 @@ pub fn split_functions(stripped: &str, file_is_test: bool) -> Vec<FnSpan> {
     out
 }
 
-/// The innermost function containing `byte`, if any.
-fn enclosing(fns: &[FnSpan], byte: usize) -> Option<&FnSpan> {
-    fns.iter()
-        .filter(|f| f.body.contains(&byte))
-        .min_by_key(|f| f.body.end - f.body.start)
-}
-
-// ---------------------------------------------------------------------------
-// Token scanning
-// ---------------------------------------------------------------------------
-
-/// Byte offsets of every occurrence of `needle` in `hay[range]`.
-pub(crate) fn occurrences(hay: &str, range: std::ops::Range<usize>, needle: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut i = range.start;
-    while let Some(j) = hay[i..range.end].find(needle) {
-        out.push(i + j);
-        i = i + j + needle.len();
-    }
-    out
-}
-
-pub(crate) const WRITE_TOKENS: &[&str] = &[".write(", ".write_slice(", ".fetch_add("];
-pub(crate) const FLUSH_TOKENS: &[&str] = &[
-    ".persist(",
-    ".flush(",
-    ".flush_range(",
-    // CLWB with declared-deferred durability (`Pool::flush_deferred`): a
-    // write-back like `.flush_range(`, whatever fence it ends up riding.
-    ".flush_deferred(",
-    "sfence(",
-    "persist_line",
-    "mark_all_persisted",
-    ".commit(",
-    ".sweep(",
-];
-pub(crate) const CAS_TOKENS: &[&str] = &[".cas(", ".pmwcas("];
-pub(crate) const RECOVERY_TOKENS: &[&str] = &[
-    "recover",
-    "assert",
-    "verify",
-    "check_invariants",
-    "read_persisted",
-];
-
-/// The argument list of the call opening at `open` (the `(`), split at
-/// top-level commas. Returns `None` if the parens never close.
-pub(crate) fn call_args(stripped: &str, open: usize) -> Option<Vec<&str>> {
-    let b = stripped.as_bytes();
-    debug_assert_eq!(b[open], b'(');
-    let mut depth = 0usize;
-    let mut args = Vec::new();
-    let mut arg_start = open + 1;
-    for (off, c) in stripped[open..].bytes().enumerate() {
-        let at = open + off;
-        match c {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    args.push(&stripped[arg_start..at]);
-                    return Some(args);
-                }
-            }
-            b',' if depth == 1 => {
-                args.push(&stripped[arg_start..at]);
-                arg_start = at + 1;
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// True if `expr` contains offset arithmetic at paren depth 0 (nested
-/// calls like `pool.read(slot + 2)` don't count — the arithmetic there is
-/// on a plain `u64`, not on the RIV word itself).
-fn top_level_arith(expr: &str) -> bool {
-    let mut depth = 0usize;
-    let b = expr.as_bytes();
-    for (i, c) in b.iter().enumerate() {
-        match c {
-            b'(' | b'[' => depth += 1,
-            b')' | b']' => depth = depth.saturating_sub(1),
-            b'+' | b'-' if depth == 0 => {
-                // Skip `->` (can't appear in an expression) and unary minus
-                // on a literal start.
-                if *c == b'-' && b.get(i + 1) == Some(&b'>') {
-                    continue;
-                }
-                return true;
-            }
-            b'<' | b'>' if depth == 0 && b.get(i + 1) == Some(c) => return true, // << >>
-            _ => {}
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// The lint
-// ---------------------------------------------------------------------------
-
-/// Lint one file. `rel` is the workspace-relative path with `/`
-/// separators; `allow` supplies the sanctioned exemption tags for PMS07
-/// (allowlist *suppression* of findings is the caller's job).
-pub fn lint_file(rel: &str, src: &str, allow: &Allowlist) -> Vec<Finding> {
-    let stripped = strip_source(src, false);
-    let lines = LineMap::new(src);
-    let file_is_test = rel.contains("/tests/") || rel.contains("/benches/");
-    let fns = split_functions(&stripped, file_is_test);
-    let mut out = Vec::new();
-    let touches_pmem = src.contains("pmem") || src.contains("RivPtr") || src.contains("RivSpace");
-    let in_riv = rel.starts_with("crates/riv/");
-
-    let fname = |byte: usize| {
-        enclosing(&fns, byte)
-            .map(|f| f.name.clone())
-            .unwrap_or_else(|| "<top-level>".into())
-    };
-    let mut push = |rule: &'static str, byte: usize, function: String, message: String| {
-        out.push(Finding {
-            rule,
-            file: rel.to_string(),
-            line: lines.line(byte),
-            function,
-            message,
-        });
-    };
-
-    // PMS01 / PMS02 — per non-test function in pmem-touching files.
-    if touches_pmem {
-        for f in &fns {
-            if f.is_test {
-                continue;
-            }
-            let exempts = occurrences(&stripped, f.body.clone(), "exempt_scope(");
-            let mut writes: Vec<usize> = WRITE_TOKENS
-                .iter()
-                .flat_map(|t| occurrences(&stripped, f.body.clone(), t))
-                .filter(|&w| {
-                    // pmem writes take (off, value): a zero/one-arg
-                    // `.write(..)` is io/RwLock, and a `.fetch_add(_,
-                    // Ordering::_)` is a volatile atomic.
-                    let open = w + stripped[w..].find('(').unwrap_or(0);
-                    call_args(&stripped, open).is_some_and(|args| {
-                        args.len() >= 2
-                            && !args.iter().any(|a| {
-                                a.contains("Ordering")
-                                    || a.contains("Relaxed")
-                                    || a.contains("SeqCst")
-                                    || a.contains("Acquire")
-                                    || a.contains("Release")
-                            })
-                    })
-                })
-                // Writes inside an exempt_scope are declared volatile-intent
-                // or covered by another persisted record (the dynamic
-                // detector skips them for the same reason).
-                .filter(|&w| !exempts.iter().any(|&e| e < w))
-                .collect();
-            writes.sort_unstable();
-            let flushes: Vec<usize> = {
-                let mut v: Vec<usize> = FLUSH_TOKENS
-                    .iter()
-                    .flat_map(|t| occurrences(&stripped, f.body.clone(), t))
-                    .collect();
-                v.sort_unstable();
-                v
-            };
-            if let Some(&last_w) = writes.last() {
-                if !flushes.iter().any(|&fl| fl > last_w) {
-                    push(
-                        "PMS01",
-                        last_w,
-                        f.name.clone(),
-                        "pmem write with no flush/persist/fence before function exit \
-                         (if the caller persists, allowlist this site with that reason)"
-                            .into(),
-                    );
-                }
-            }
-            for t in CAS_TOKENS {
-                for c in occurrences(&stripped, f.body.clone(), t) {
-                    let Some(&w) = writes.iter().rev().find(|&&w| w < c) else {
-                        continue;
-                    };
-                    if flushes.iter().any(|&fl| w < fl && fl < c) {
-                        continue;
-                    }
-                    if exempts.iter().any(|&e| e < c) {
-                        continue;
-                    }
-                    push(
-                        "PMS02",
-                        c,
-                        f.name.clone(),
-                        "publish CAS with an unflushed pmem write earlier in this \
-                         function (insert persist/sfence, or exempt_scope a \
-                         volatile word)"
-                            .into(),
-                    );
-                }
-            }
-        }
-    }
-
-    // PMS03 — Relaxed success ordering on compare_exchange, anywhere
-    // outside tests.
-    for t in ["compare_exchange(", "compare_exchange_weak("] {
-        for c in occurrences(&stripped, 0..stripped.len(), t) {
-            if enclosing(&fns, c).is_some_and(|f| f.is_test) {
-                continue;
-            }
-            let open = c + t.len() - 1;
-            if let Some(args) = call_args(&stripped, open) {
-                if args.len() >= 3 && args[args.len() - 2].contains("Relaxed") {
-                    push(
-                        "PMS03",
-                        c,
-                        fname(c),
-                        "compare_exchange with Relaxed success ordering on what may \
-                         be a publish word"
-                            .into(),
-                    );
-                }
-            }
-        }
-    }
-
-    // PMS04 — raw RIV arithmetic outside crates/riv.
-    if !in_riv && touches_pmem {
-        for r in occurrences(&stripped, 0..stripped.len(), ".raw()") {
-            if enclosing(&fns, r).is_some_and(|f| f.is_test) {
-                continue;
-            }
-            let after = stripped[r + ".raw()".len()..].trim_start();
-            if after.starts_with('+')
-                || (after.starts_with('-') && !after.starts_with("->"))
-                || after.starts_with("<<")
-                || after.starts_with(">>")
-            {
-                push(
-                    "PMS04",
-                    r,
-                    fname(r),
-                    "arithmetic on RivPtr::raw() — use RivPtr::add / riv helpers so \
-                     fat-pointer invariants hold"
-                        .into(),
-                );
-            }
-        }
-        for r in occurrences(&stripped, 0..stripped.len(), "from_raw(") {
-            if enclosing(&fns, r).is_some_and(|f| f.is_test) {
-                continue;
-            }
-            let open = r + "from_raw".len();
-            if let Some(args) = call_args(&stripped, open) {
-                if args.first().is_some_and(|a| top_level_arith(a)) {
-                    push(
-                        "PMS04",
-                        r,
-                        fname(r),
-                        "RivPtr::from_raw over computed offsets — use RivPtr::add / \
-                         riv helpers"
-                            .into(),
-                    );
-                }
-            }
-        }
-    }
-
-    // PMS05 — crash tests must recover/assert after the last crash.
-    for f in &fns {
-        if !f.is_test {
-            continue;
-        }
-        let crashes = occurrences(&stripped, f.body.clone(), "simulate_crash");
-        let Some(&last) = crashes.last() else {
-            continue;
-        };
-        let tail = last..f.body.end;
-        let recovered = RECOVERY_TOKENS
-            .iter()
-            .any(|t| !occurrences(&stripped, tail.clone(), t).is_empty());
-        if !recovered {
-            push(
-                "PMS05",
-                last,
-                f.name.clone(),
-                "simulate_crash with no recovery/assertion afterwards — the test \
-                 proves nothing about durability"
-                    .into(),
-            );
-        }
-    }
-
-    // PMS07 — every exempt_scope tag outside tests must be sanctioned in
-    // pmcheck.toml. Call sites are located in the stripped source (so a
-    // mention inside a string or doc comment cannot fire) and the tag text
-    // is read back from the original bytes at the same offsets.
-    for e in occurrences(&stripped, 0..stripped.len(), "exempt_scope(\"") {
-        if enclosing(&fns, e).is_some_and(|f| f.is_test) {
-            continue;
-        }
-        let tag_start = e + "exempt_scope(\"".len();
-        let Some(len) = stripped[tag_start..].find('"') else {
-            continue;
-        };
-        let tag = &src[tag_start..tag_start + len];
-        if allow.exempt_tag(tag).is_none() {
-            push(
-                "PMS07",
-                e,
-                fname(e),
-                format!("exemption tag \"{tag}\" is not sanctioned in pmcheck.toml"),
-            );
-        }
-    }
-
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Workspace driver
 // ---------------------------------------------------------------------------
@@ -862,40 +542,21 @@ pub fn lint_file(rel: &str, src: &str, allow: &Allowlist) -> Vec<Finding> {
 pub struct SourceLint {
     /// Findings that survived the call-graph pass (pre-allowlist).
     pub findings: Vec<Finding>,
-    /// Intra-procedural findings *discharged* by a call-graph proof,
-    /// paired with the proof text.
+    /// Findings *discharged* by a call-graph proof, paired with the proof
+    /// text.
     pub proven: Vec<(Finding, String)>,
 }
 
 /// Lint a set of `(workspace-relative path, source)` pairs as one program:
-/// per-file token rules first, then the call-graph fixpoint — which
-/// discharges PMS01/PMS05 findings whose obligation every caller provably
-/// meets and adds the interprocedural PMS01/PMS02/PMS05 findings — then
-/// the summary-level rules PMS08–11. Findings are deduplicated by
-/// `(rule, file, line)` and sorted.
+/// summarize every file once, run the call-graph fixpoint, then derive
+/// PMS01/02/05 (discharging those a caller proof covers) and the
+/// summary-level rules PMS03/04/07–12 from it. Findings are deduplicated
+/// by `(rule, file, line)` and sorted.
 pub fn lint_sources(files: &[(String, String)], allow: &Allowlist) -> SourceLint {
-    let mut intra: Vec<Finding> = Vec::new();
-    for (rel, src) in files {
-        intra.extend(lint_file(rel, src, allow));
-    }
     let (infos, fns) = summary::summarize_all(files);
     let analysis = callgraph::Analysis::build(&infos, &fns);
-    let mut findings = Vec::new();
-    let mut proven = Vec::new();
-    let interproc = analysis.interproc_findings(&intra);
-    for f in intra {
-        let proof = match f.rule {
-            "PMS01" => analysis.caller_persists(&f.function),
-            "PMS05" => analysis.caller_asserts(&f.function),
-            _ => None,
-        };
-        match proof {
-            Some(p) => proven.push((f, p)),
-            None => findings.push(f),
-        }
-    }
-    findings.extend(interproc);
-    findings.extend(rules::check(&analysis));
+    let (mut findings, proven) = analysis.persist_findings();
+    findings.extend(rules::check(&analysis, allow));
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     findings.dedup_by(|a, b| a.rule == b.rule && a.file == b.file && a.line == b.line);

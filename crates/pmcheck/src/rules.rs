@@ -1,9 +1,15 @@
-//! Summary-level static rules PMS08–PMS11.
+//! Summary-level static rules PMS03/04/07 and PMS08–PMS12.
 //!
-//! These run over the [`summary`](crate::summary) events plus the
-//! [`callgraph`](crate::callgraph) reachability facts — they are the rules
-//! that *need* more than one token's context:
+//! These run over the [`summary`](crate::summary) events and file-level
+//! sites plus the [`callgraph`](crate::callgraph) reachability facts:
 //!
+//! * **PMS03** — a `compare_exchange*` whose success ordering is `Relaxed`,
+//!   anywhere outside test functions.
+//! * **PMS04** — arithmetic on a raw RIV word (`.raw() +`, `from_raw(a +
+//!   b)`) in a pmem-touching file outside `crates/riv`, whose helpers are
+//!   the one place that arithmetic belongs.
+//! * **PMS07** — an `exempt_scope("tag")` outside test functions whose tag
+//!   `pmcheck.toml` does not sanction.
 //! * **PMS08** — an atomic field published with `Release`/`SeqCst`
 //!   somewhere in a file is loaded with `Relaxed` inside a function that
 //!   also writes or publishes pmem: the load needs `Acquire` to pair with
@@ -36,17 +42,58 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::Analysis;
-use crate::summary::EventKind;
-use crate::Finding;
+use crate::summary::{EventKind, SiteKind};
+use crate::{Allowlist, Finding};
 
-pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
+pub fn check(a: &Analysis<'_>, allow: &Allowlist) -> Vec<Finding> {
     let mut out = Vec::new();
+    file_sites(a, allow, &mut out);
     pms08(a, &mut out);
     pms09(a, &mut out);
     pms10(a, &mut out);
     pms11(a, &mut out);
     pms12(a, &mut out);
     out
+}
+
+/// PMS03, PMS04 and PMS07 over the file-level sites.
+fn file_sites(a: &Analysis<'_>, allow: &Allowlist, out: &mut Vec<Finding>) {
+    for info in a.infos() {
+        let raw_rule = info.touches_pmem && !info.rel.starts_with("crates/riv/");
+        for s in &info.sites {
+            let (rule, message) = match &s.kind {
+                SiteKind::RelaxedCas => (
+                    "PMS03",
+                    "compare_exchange with Relaxed success ordering on what may be a \
+                     publish word"
+                        .to_string(),
+                ),
+                SiteKind::RawArith if raw_rule => (
+                    "PMS04",
+                    "arithmetic on RivPtr::raw() — use RivPtr::add / riv helpers so \
+                     fat-pointer invariants hold"
+                        .to_string(),
+                ),
+                SiteKind::FromRawArith if raw_rule => (
+                    "PMS04",
+                    "RivPtr::from_raw over computed offsets — use RivPtr::add / riv helpers"
+                        .to_string(),
+                ),
+                SiteKind::ExemptTag(tag) if allow.exempt_tag(tag).is_none() => (
+                    "PMS07",
+                    format!("exemption tag \"{tag}\" is not sanctioned in pmcheck.toml"),
+                ),
+                _ => continue,
+            };
+            out.push(Finding {
+                rule,
+                file: info.rel.clone(),
+                line: info.lines.line(s.at),
+                function: s.function.clone(),
+                message,
+            });
+        }
+    }
 }
 
 /// PMS08: Release-published atomic loaded Relaxed in a persist-affecting
@@ -102,17 +149,12 @@ fn pms08(a: &Analysis<'_>, out: &mut Vec<Finding>) {
 /// PMS09: structure mutation with no reachable StructureEpoch bump before
 /// the next unlock (crates/core only).
 fn pms09(a: &Analysis<'_>, out: &mut Vec<Finding>) {
-    for f in a.fns() {
+    for (i, f) in a.fns().iter().enumerate() {
         let info = &a.infos()[f.file];
         if f.is_test || !info.rel.contains("crates/core/") {
             continue;
         }
-        let unlocks: Vec<usize> = f
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::Unlock)
-            .map(|e| e.at)
-            .collect();
+        let unlocks: Vec<usize> = a.events_of(i, EventKind::Unlock).collect();
         if unlocks.is_empty() {
             continue;
         }
@@ -127,12 +169,7 @@ fn pms09(a: &Analysis<'_>, out: &mut Vec<Finding>) {
             .map(|e| e.at)
             .collect();
         let mut seen_lines = BTreeSet::new();
-        for m in f
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::StructMutation)
-            .map(|e| e.at)
-        {
+        for m in a.events_of(i, EventKind::StructMutation) {
             let Some(&u) = unlocks.iter().find(|&&u| u > m) else {
                 continue; // mutation after the last unlock: lock-free path
             };
@@ -243,22 +280,8 @@ fn pms12(a: &Analysis<'_>, out: &mut Vec<Finding>) {
         {
             continue;
         }
-        let opens: Vec<usize> = f
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::EpochOpen)
-            .map(|e| e.at)
-            .collect();
-        if opens.is_empty() {
-            continue;
-        }
-        let sweeps: Vec<usize> = f
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::EpochSweep)
-            .map(|e| e.at)
-            .collect();
-        for &o in &opens {
+        let sweeps: Vec<usize> = a.events_of(i, EventKind::EpochSweep).collect();
+        for o in a.events_of(i, EventKind::EpochOpen) {
             let end = sweeps
                 .iter()
                 .find(|&&s| s > o)
@@ -295,21 +318,13 @@ fn pms12(a: &Analysis<'_>, out: &mut Vec<Finding>) {
 /// PMS11: volatile-cache write positioned before a publish CAS in the
 /// same function (crates/core and crates/pmalloc).
 fn pms11(a: &Analysis<'_>, out: &mut Vec<Finding>) {
-    for f in a.fns() {
+    for (i, f) in a.fns().iter().enumerate() {
         let info = &a.infos()[f.file];
         if f.is_test || !(info.rel.contains("crates/core/") || info.rel.contains("crates/pmalloc/"))
         {
             continue;
         }
-        let cas: Vec<usize> = f
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::PublishCas)
-            .map(|e| e.at)
-            .collect();
-        if cas.is_empty() {
-            continue;
-        }
+        let cas: Vec<usize> = a.events_of(i, EventKind::PublishCas).collect();
         for e in &f.events {
             if e.kind == EventKind::CacheWrite {
                 if let Some(&q) = cas.iter().find(|&&q| q > e.at) {

@@ -1,23 +1,20 @@
-//! Per-function event summaries — the parse layer of the interprocedural
-//! pass.
+//! Per-function event summaries — the one parse of the lint.
 //!
-//! [`summarize_all`] reduces every source file to an ordered list of
-//! [`Event`]s per function: pmem writes, flushes/persists/fences, publish
-//! CASes, calls (by bare callee name), lock acquire/release tokens,
-//! `StructureEpoch` bumps, volatile-cache writes, crash simulations and
-//! recovery assertions, plus the atomic store/load orderings PMS08 pairs
-//! up. The summaries deliberately stay at the same token level as
-//! [`lint_file`](crate::lint_file) — no types, no control flow — so the
-//! call-graph fixpoint in [`callgraph`](crate::callgraph) inherits the
-//! same conservative reading of the source: an event's position is its
-//! byte offset, and "A before B" means "A's token appears earlier".
+//! [`summarize_all`] strips and splits every source file once and reduces
+//! it to an ordered list of [`Event`]s per function: pmem writes,
+//! flushes/persists/fences, publish CASes, calls (by bare callee name),
+//! lock acquire/release tokens, `StructureEpoch` bumps, volatile-cache
+//! writes, crash simulations and recovery assertions, plus the atomic
+//! store/load orderings PMS08 pairs up. The file-level rules PMS03/04/07
+//! get sites instead, scanned over the whole file so one outside any `fn`
+//! body (a `static` initializer, a macro body) is still seen. The
+//! summaries stay at the token level — no types, no control flow — so an
+//! event's position is its byte offset, and "A before B" means "A's token
+//! appears earlier".
 
 use std::ops::Range;
 
-use crate::{
-    call_args, occurrences, split_functions, strip_source, LineMap, CAS_TOKENS, FLUSH_TOKENS,
-    RECOVERY_TOKENS, WRITE_TOKENS,
-};
+use crate::{is_ident, split_functions, strip_source, FnSpan, LineMap};
 
 /// One summarized action inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,19 +85,126 @@ pub struct FnSummary {
     pub events: Vec<Event>,
 }
 
-/// Per-file context for turning event offsets back into `file:line`.
+/// Per-file context: `file:line` lookup, the rule gates that depend on the
+/// whole file, and the file-level rule sites.
 pub struct FileInfo {
     pub rel: String,
     pub lines: LineMap,
+    /// The file mentions `pmem`, `RivPtr` or `RivSpace`: only then do
+    /// direct writes raise PMS01/PMS02 and raw RIV arithmetic PMS04.
+    pub(crate) touches_pmem: bool,
+    /// PMS03/04/07 candidates outside test functions.
+    pub(crate) sites: Vec<Site>,
 }
 
-impl FileInfo {
-    /// Byte offset of the start of the line containing `byte` (used to
-    /// let `assert!(helper_that_crashes(..))` count as an assertion *at*
-    /// the call, not before it).
-    pub fn line_start(&self, byte: usize) -> usize {
-        self.lines.line_start(byte)
+/// A token a file-level rule judges on its own, owned by the innermost
+/// enclosing function (`<top-level>` outside any `fn` body).
+#[derive(Debug)]
+pub(crate) struct Site {
+    pub(crate) at: usize,
+    pub(crate) function: String,
+    pub(crate) kind: SiteKind,
+}
+
+#[derive(Debug)]
+pub(crate) enum SiteKind {
+    /// `compare_exchange*` with `Relaxed` success ordering (PMS03).
+    RelaxedCas,
+    /// `.raw()` followed by `+`, `-`, `<<` or `>>` (PMS04).
+    RawArith,
+    /// `from_raw(..)` whose argument is computed offset arithmetic (PMS04).
+    FromRawArith,
+    /// `exempt_scope("tag")`, with the tag read from the original source
+    /// (PMS07).
+    ExemptTag(String),
+}
+
+/// Byte offsets of every occurrence of `needle` in `hay[range]`.
+fn occurrences(hay: &str, range: Range<usize>, needle: &str) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut i = range.start;
+    while let Some(j) = hay[i..range.end].find(needle) {
+        out.push(i + j);
+        i = i + j + needle.len();
     }
+    out
+}
+
+const WRITE_TOKENS: &[&str] = &[".write(", ".write_slice(", ".fetch_add("];
+const FLUSH_TOKENS: &[&str] = &[
+    ".persist(",
+    ".flush(",
+    ".flush_range(",
+    // CLWB with declared-deferred durability (`Pool::flush_deferred`): a
+    // write-back like `.flush_range(`, whatever fence it ends up riding.
+    ".flush_deferred(",
+    "sfence(",
+    "persist_line",
+    "mark_all_persisted",
+    ".commit(",
+    ".sweep(",
+];
+const CAS_TOKENS: &[&str] = &[".cas(", ".pmwcas("];
+const RECOVERY_TOKENS: &[&str] = &[
+    "recover",
+    "assert",
+    "verify",
+    "check_invariants",
+    "read_persisted",
+];
+
+/// The argument list of the call opening at `open` (the `(`), split at
+/// top-level commas. Returns `None` if the parens never close.
+fn call_args(stripped: &str, open: usize) -> Option<Vec<&str>> {
+    let b = stripped.as_bytes();
+    debug_assert_eq!(b[open], b'(');
+    let mut depth = 0usize;
+    let mut args = Vec::new();
+    let mut arg_start = open + 1;
+    for (off, c) in stripped[open..].bytes().enumerate() {
+        let at = open + off;
+        match c {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => {
+                depth -= 1;
+                if depth == 0 {
+                    args.push(&stripped[arg_start..at]);
+                    return Some(args);
+                }
+            }
+            b',' if depth == 1 => {
+                args.push(&stripped[arg_start..at]);
+                arg_start = at + 1;
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// True if `expr` contains offset arithmetic at paren depth 0 (nested
+/// calls like `pool.read(slot + 2)` don't count — the arithmetic there is
+/// on a plain `u64`, not on the RIV word itself).
+fn top_level_arith(expr: &str) -> bool {
+    let mut depth = 0usize;
+    let b = expr.as_bytes();
+    for (i, c) in b.iter().enumerate() {
+        match c {
+            b'(' | b'[' => depth += 1,
+            b')' | b']' => depth = depth.saturating_sub(1),
+            b'+' | b'-' if depth == 0 => {
+                // Skip `->` (can't appear in an expression) and unary minus
+                // on a literal start.
+                if *c == b'-' && b.get(i + 1) == Some(&b'>') {
+                    continue;
+                }
+                return true;
+            }
+            b'<' | b'>' if depth == 0 && b.get(i + 1) == Some(c) => return true, // << >>
+            _ => {}
+        }
+    }
+    false
 }
 
 /// Call-shaped names the dedicated token scans already classify; they must
@@ -144,10 +248,6 @@ const KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "loop", "return", "in", "as", "let", "else", "move", "ref",
     "break", "continue", "where", "impl", "dyn", "fn", "unsafe",
 ];
-
-fn is_ident(c: u8) -> bool {
-    c.is_ascii_alphanumeric() || c == b'_'
-}
 
 /// Walk back from `end` (exclusive) over one field/receiver path segment:
 /// skips one or more trailing `[..]` index groups, then takes the
@@ -222,88 +322,33 @@ pub fn summarize_file(file_idx: usize, rel: &str, src: &str) -> (FileInfo, Vec<F
                 }
             }
         }
-        for t in FLUSH_TOKENS {
-            for p in occurrences(&stripped, body.clone(), t) {
-                events.push(Event {
-                    at: p,
-                    kind: EventKind::Flush,
-                });
-            }
-        }
-        for t in FENCE_TOKENS {
-            for p in occurrences(&stripped, body.clone(), t) {
-                events.push(Event {
-                    at: p,
-                    kind: EventKind::Fence,
-                });
-            }
-        }
-        for p in occurrences(&stripped, body.clone(), "FlushEpoch::open(") {
-            events.push(Event {
-                at: p,
-                kind: EventKind::EpochOpen,
-            });
-        }
-        for p in occurrences(&stripped, body.clone(), ".sweep(") {
-            events.push(Event {
-                at: p,
-                kind: EventKind::EpochSweep,
-            });
-        }
-        for t in CAS_TOKENS {
-            for p in occurrences(&stripped, body.clone(), t) {
-                events.push(Event {
-                    at: p,
-                    kind: EventKind::PublishCas,
-                });
-            }
-        }
-        for p in occurrences(&stripped, body.clone(), "exempt_scope(") {
-            events.push(Event {
-                at: p,
-                kind: EventKind::ExemptScope,
-            });
-        }
-        for p in occurrences(&stripped, body.clone(), "simulate_crash") {
-            events.push(Event {
-                at: p,
-                kind: EventKind::SimCrash,
-            });
-        }
-        for t in RECOVERY_TOKENS {
-            for p in occurrences(&stripped, body.clone(), t) {
-                events.push(Event {
-                    at: p,
-                    kind: EventKind::RecoveryAssert,
-                });
-            }
-        }
-        for p in occurrences(&stripped, body.clone(), "invalidate_structure(") {
-            events.push(Event {
-                at: p,
-                kind: EventKind::EpochBump,
-            });
-        }
-        for p in occurrences(&stripped, body.clone(), ".bump()") {
-            events.push(Event {
-                at: p,
-                kind: EventKind::EpochBump,
-            });
-        }
-        for p in occurrences(&stripped, body.clone(), "unlock(") {
-            events.push(Event {
-                at: p,
-                kind: EventKind::Unlock,
-            });
-        }
-        // Volatile-cache write markers (PMS11): DRAM state that mirrors
-        // persistent structure — allocator magazines.
-        for t in ["magazine.push(", "magazine.extend("] {
-            for p in occurrences(&stripped, body.clone(), t) {
-                events.push(Event {
-                    at: p,
-                    kind: EventKind::CacheWrite,
-                });
+        // Plain token markers: every occurrence is one event.
+        let markers: [(&[&str], EventKind); 11] = [
+            (FLUSH_TOKENS, EventKind::Flush),
+            (FENCE_TOKENS, EventKind::Fence),
+            (&["FlushEpoch::open("], EventKind::EpochOpen),
+            (&[".sweep("], EventKind::EpochSweep),
+            (CAS_TOKENS, EventKind::PublishCas),
+            (&["exempt_scope("], EventKind::ExemptScope),
+            (&["simulate_crash"], EventKind::SimCrash),
+            (RECOVERY_TOKENS, EventKind::RecoveryAssert),
+            (&["invalidate_structure(", ".bump()"], EventKind::EpochBump),
+            (&["unlock("], EventKind::Unlock),
+            // Volatile-cache write markers (PMS11): DRAM state that mirrors
+            // persistent structure — allocator magazines.
+            (
+                &["magazine.push(", "magazine.extend("],
+                EventKind::CacheWrite,
+            ),
+        ];
+        for (tokens, kind) in markers {
+            for t in tokens {
+                for at in occurrences(&stripped, body.clone(), t) {
+                    events.push(Event {
+                        at,
+                        kind: kind.clone(),
+                    });
+                }
             }
         }
         if in_service {
@@ -442,13 +487,73 @@ pub fn summarize_file(file_idx: usize, rel: &str, src: &str) -> (FileInfo, Vec<F
             events,
         });
     }
-    (
-        FileInfo {
-            rel: rel.to_string(),
-            lines: LineMap::new(src),
-        },
-        out,
-    )
+    let info = FileInfo {
+        rel: rel.to_string(),
+        lines: LineMap::new(src),
+        touches_pmem: src.contains("pmem") || src.contains("RivPtr") || src.contains("RivSpace"),
+        sites: file_sites(&stripped, src, &fns),
+    };
+    (info, out)
+}
+
+/// The PMS03/04/07 candidates of one file, each owned by its innermost
+/// enclosing function; sites inside test functions are dropped.
+fn file_sites(stripped: &str, src: &str, fns: &[FnSpan]) -> Vec<Site> {
+    let whole = 0..stripped.len();
+    let mut found: Vec<(usize, SiteKind)> = Vec::new();
+    for t in ["compare_exchange(", "compare_exchange_weak("] {
+        for c in occurrences(stripped, whole.clone(), t) {
+            if call_args(stripped, c + t.len() - 1)
+                .is_some_and(|a| a.len() >= 3 && a[a.len() - 2].contains("Relaxed"))
+            {
+                found.push((c, SiteKind::RelaxedCas));
+            }
+        }
+    }
+    for r in occurrences(stripped, whole.clone(), ".raw()") {
+        let after = stripped[r + ".raw()".len()..].trim_start();
+        if after.starts_with('+')
+            || (after.starts_with('-') && !after.starts_with("->"))
+            || after.starts_with("<<")
+            || after.starts_with(">>")
+        {
+            found.push((r, SiteKind::RawArith));
+        }
+    }
+    for r in occurrences(stripped, whole.clone(), "from_raw(") {
+        if call_args(stripped, r + "from_raw".len())
+            .is_some_and(|a| a.first().is_some_and(|a| top_level_arith(a)))
+        {
+            found.push((r, SiteKind::FromRawArith));
+        }
+    }
+    // The call is located in the stripped source (so a mention inside a
+    // string or doc comment cannot fire) and the tag text is read back
+    // from the original bytes at the same offsets.
+    for e in occurrences(stripped, whole, "exempt_scope(\"") {
+        let tag_start = e + "exempt_scope(\"".len();
+        if let Some(len) = stripped[tag_start..].find('"') {
+            let tag = src[tag_start..tag_start + len].to_string();
+            found.push((e, SiteKind::ExemptTag(tag)));
+        }
+    }
+    found
+        .into_iter()
+        .filter_map(|(at, kind)| {
+            let owner = fns
+                .iter()
+                .filter(|f| f.body.contains(&at))
+                .min_by_key(|f| f.body.len());
+            match owner {
+                Some(f) if f.is_test => None,
+                _ => Some(Site {
+                    at,
+                    function: owner.map_or_else(|| "<top-level>".into(), |f| f.name.clone()),
+                    kind,
+                }),
+            }
+        })
+        .collect()
 }
 
 /// Summarize every `(rel, src)` pair. Returns per-file info plus the flat

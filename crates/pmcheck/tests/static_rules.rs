@@ -2,7 +2,7 @@
 //! must be caught with the exact rule id on the exact source line, and the
 //! corrected variant must scan clean.
 
-use pmcheck::{lint_file, Allowlist};
+use pmcheck::{lint_sources, Allowlist};
 
 fn sanctioned() -> Allowlist {
     Allowlist::parse(
@@ -15,11 +15,24 @@ reason = "test fixture"
     .unwrap()
 }
 
-/// `(rule, line)` pairs for the findings in `src` at `path`.
-fn hits(path: &str, src: &str) -> Vec<(String, usize)> {
-    lint_file(path, src, &sanctioned())
+/// `(rule, file, line)` triples for the findings over a file set.
+fn source_hits(files: &[(&str, &str)]) -> Vec<(String, String, usize)> {
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|(p, s)| (p.to_string(), s.to_string()))
+        .collect();
+    lint_sources(&files, &sanctioned())
+        .findings
         .into_iter()
-        .map(|f| (f.rule.to_string(), f.line))
+        .map(|f| (f.rule.to_string(), f.file, f.line))
+        .collect()
+}
+
+/// `(rule, line)` pairs for the findings in `src` linted alone at `path`.
+fn hits(path: &str, src: &str) -> Vec<(String, usize)> {
+    source_hits(&[(path, src)])
+        .into_iter()
+        .map(|(rule, _, line)| (rule, line))
         .collect()
 }
 
@@ -160,6 +173,32 @@ fn pms07_unsanctioned_exempt_tag_is_caught() {
 }
 
 #[test]
+fn file_level_sites_outside_fn_bodies_are_linted() {
+    // A macro body is outside every `fn` span, yet PMS03 and PMS07 sites
+    // there still fire, owned by `<top-level>`.
+    let src = "use std::sync::atomic::{AtomicU64, Ordering};\n\
+               macro_rules! claim {\n\
+               \x20   ($a:expr) => {{\n\
+               \x20       let _g = pmem::exempt_scope(\"rogue-tag\");\n\
+               \x20       let _ = $a.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed);\n\
+               \x20   }};\n\
+               }\n";
+    let files = vec![("crates/demo/src/a.rs".to_string(), src.to_string())];
+    let got: Vec<_> = lint_sources(&files, &sanctioned())
+        .findings
+        .into_iter()
+        .map(|f| (f.rule, f.line, f.function))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            ("PMS07", 4, "<top-level>".to_string()),
+            ("PMS03", 5, "<top-level>".to_string()),
+        ]
+    );
+}
+
+#[test]
 fn workspace_allowlist_parses_and_sanctions_the_known_tags() {
     let allow = Allowlist::workspace();
     for tag in ["node-lock-word", "pmwcas-dirty-bit", "tx-undo-covered"] {
@@ -171,23 +210,7 @@ fn workspace_allowlist_parses_and_sanctions_the_known_tags() {
     assert!(allow.exempt_tag("rogue").is_none());
 }
 
-// ---- summary-level rules (PMS08–11) ---------------------------------------
-//
-// These need the whole-file (or whole-set) summary pass, so they go through
-// `lint_sources` rather than `lint_file`.
-
-/// `(rule, file, line)` triples for the findings over a file set.
-fn source_hits(files: &[(&str, &str)]) -> Vec<(String, String, usize)> {
-    let files: Vec<(String, String)> = files
-        .iter()
-        .map(|(p, s)| (p.to_string(), s.to_string()))
-        .collect();
-    pmcheck::lint_sources(&files, &sanctioned())
-        .findings
-        .into_iter()
-        .map(|f| (f.rule.to_string(), f.file.clone(), f.line))
-        .collect()
-}
+// ---- rules that need more than one function (PMS08–12) -------------------
 
 #[test]
 fn pms08_relaxed_load_of_release_published_atomic_is_caught() {

@@ -43,19 +43,6 @@ impl LatencyModel {
         }
     }
 
-    /// Like [`LatencyModel::pmem_default`] with everything scaled up 3×;
-    /// used when a stronger separation of memory cost from compute cost is
-    /// wanted (latency experiments).
-    pub fn pmem_slow() -> Self {
-        Self {
-            read_spins: 6,
-            write_spins: 3,
-            flush_spins: 30,
-            fence_spins: 15,
-            remote_spins: 0,
-        }
-    }
-
     /// The model used by the NUMA experiments: [`LatencyModel::pmem_default`]
     /// plus a remote penalty roughly 2× the local read cost, echoing the
     /// measured local/remote Optane ratio.

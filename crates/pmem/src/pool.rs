@@ -51,9 +51,8 @@ pub struct PoolConfig {
     pub evict_one_in: u32,
     /// Observability level. At [`ObsLevel::Off`] the per-pool [`Stats`]
     /// counters (shared atomics — a contended cache line) are never
-    /// touched, so throughput benchmarks pay nothing; `Counters` and
-    /// `Full` both maintain them (`Full` additionally enables latency
-    /// histograms in the layers above the pool).
+    /// touched, so throughput benchmarks pay nothing; `Counters`
+    /// maintains them.
     pub obs: ObsLevel,
     /// Persist-ordering checking (see [`crate::check`]). Any level other
     /// than [`PmCheckLevel::Off`] requires [`PersistenceMode::Tracked`].
