@@ -130,3 +130,61 @@ fn test_calling_crash_helper_and_stopping_is_interprocedural_pms05() {
         "expected interprocedural PMS05 at the tear() call: {got:?}"
     );
 }
+
+#[test]
+fn callee_flush_does_not_close_the_callers_direct_write() {
+    // `log_commit` ends flushed, but its persist covers its own range,
+    // not the word `update` wrote: the write at line 2 stays PMS01, and
+    // the publish CAS in `publish` still runs over an unflushed write.
+    let src = "fn update(p: &pmem::Pool) {\n\
+               \x20   p.write(64, 7);\n\
+               \x20   log_commit(p);\n\
+               }\n\
+               fn log_commit(p: &pmem::Pool) {\n\
+               \x20   p.write(0, 1);\n\
+               \x20   p.persist(0, 1);\n\
+               }\n\
+               fn publish(p: &pmem::Pool) {\n\
+               \x20   p.write(64, 7);\n\
+               \x20   log_commit(p);\n\
+               \x20   let _ = p.cas(8, 0, 64);\n\
+               \x20   p.persist(64, 1);\n\
+               }\n";
+    let lint = scan(&[("crates/demo/src/a.rs", src)]);
+    assert_eq!(
+        rules_at(&lint),
+        vec![("PMS01".into(), 2), ("PMS02".into(), 12)],
+        "{:?}",
+        lint.findings
+    );
+    assert!(lint.proven.is_empty(), "{:?}", lint.proven);
+}
+
+#[test]
+fn direct_crash_needs_recovery_even_when_a_helper_call_follows() {
+    // The helper call after the direct crash is followed by an API call,
+    // which covers the helper; the direct `simulate_crash` at line 4 still
+    // has no recovery assertion after it.
+    let helper = "fn tear(p: &pmem::Pool) {\n\
+                  \x20   p.write(8, 1);\n\
+                  \x20   p.simulate_crash_with(CrashPlan::KeepAll);\n\
+                  }\n";
+    let tests = "#[test]\n\
+                 fn crash_then_tear() {\n\
+                 \x20   let p = build();\n\
+                 \x20   p.simulate_crash();\n\
+                 \x20   tear(&p);\n\
+                 \x20   list.get(1);\n\
+                 }\n";
+    let lint = scan(&[
+        ("crates/demo/src/a.rs", helper),
+        ("crates/demo/tests/t.rs", tests),
+    ]);
+    let got: Vec<_> = lint
+        .findings
+        .iter()
+        .filter(|f| f.file == "crates/demo/tests/t.rs")
+        .map(|f| (f.rule, f.line))
+        .collect();
+    assert_eq!(got, vec![("PMS05", 4)], "{:?}", lint.findings);
+}
