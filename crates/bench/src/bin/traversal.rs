@@ -30,13 +30,15 @@
 //! `--gate-insert-reads N` holds the cheapest shadow-on build's
 //! `insert_reads` at the largest key count to `N` — the budget of the
 //! single-stream insert (descent + one stream of the key array, where a
-//! second stream would add 32 lines to every build);
+//! second stream would add 32 lines to every build) over an index image
+//! that splits patch instead of staling (CI: 72 at 256 keys/node, ~43
+//! there; 40 at 16 keys/node, ~25 there; ~150 at 16 means every split
+//! re-images a region again);
 //! `--gate-scan-reads N` holds the `shadowed` variant's `scan_reads_per_key`
 //! at the largest key count to `N` — a scan that starts on the containing
 //! node reads its nodes' two arrays and little else, one that starts from
-//! the list head does not. `--gate-reads` and `--gate-scan-reads` hold at
-//! any node size (CI runs both at 256 and at 16 keys/node);
-//! `--gate-insert-reads` is a budget for `--keys-per-node 256` only.
+//! the list head does not. Every gate holds at any node size (CI runs
+//! all of them at 256 and at 16 keys/node).
 
 use bench::metrics::{push_struct_rows, write_report};
 use bench::{Args, Deployment, UpSkipListOpts};

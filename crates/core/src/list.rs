@@ -28,9 +28,9 @@ pub struct UpSkipList {
     pub(crate) head: RivPtr,
     pub(crate) tail: RivPtr,
     pub(crate) epoch: AtomicU64,
-    /// Shared volatile structure generation: bumped by splits, purges,
-    /// removes and compaction; validates every shadow region so one store
-    /// invalidates them all.
+    /// Shared volatile structure generation: bumped by removes, compaction
+    /// and a link publish that found the image busy; validates every
+    /// shadow region so one store invalidates them all.
     pub(crate) sepoch: StructureEpoch,
     /// Volatile DRAM mirror of the upper index levels (never persisted;
     /// discarded and rebuilt on every open/recover path — see the `shadow`

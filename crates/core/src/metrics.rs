@@ -1,7 +1,7 @@
 //! Structure-level observability for [`UpSkipList`](crate::UpSkipList):
 //! named counters for the events the pool-level [`pmem::Stats`] cannot see
 //! — CAS retries, node-lock acquisition failures, node splits and in-place
-//! purges, index-shadow hits/misses, in-node tag hits/fallbacks,
+//! purges, index-shadow hits/misses/patches, in-node tag hits/fallbacks,
 //! compactions, and traversal hops per level.
 //!
 //! The counters are registered as `list.*` in the deployment's
@@ -38,9 +38,12 @@ pub(crate) struct StructStats {
     pub(crate) shadow_misses: Arc<Counter>,
     /// Full shadow image rebuilds (first descent of an epoch, retuning).
     pub(crate) shadow_rebuilds: Arc<Counter>,
-    /// Structure-generation bumps (splits, purges, removes, compactions) — each
-    /// invalidates every shadow region in one store.
+    /// Structure-generation bumps — each stales every shadow region in one
+    /// store. Links are patched into the image at publish, so only
+    /// `remove`, `compact` and a patch that found the image busy bump.
     pub(crate) shadow_invalidations: Arc<Counter>,
+    /// Published links written into the index image in place.
+    pub(crate) shadow_patches: Arc<Counter>,
     /// Software prefetch hints issued by the descent.
     pub(crate) prefetch_issued: Arc<Counter>,
     /// In-node searches answered by a tag-steered key-word read.
@@ -69,6 +72,7 @@ impl StructStats {
             shadow_misses: registry.counter("list.shadow_misses"),
             shadow_rebuilds: registry.counter("list.shadow_rebuilds"),
             shadow_invalidations: registry.counter("list.shadow_invalidations"),
+            shadow_patches: registry.counter("list.shadow_patches"),
             prefetch_issued: registry.counter("list.prefetch_issued"),
             tag_hits: registry.counter("list.tag_hits"),
             tag_fallbacks: registry.counter("list.tag_fallbacks"),
@@ -133,6 +137,13 @@ impl StructStats {
     pub(crate) fn shadow_invalidation(&self) {
         if self.enabled {
             self.shadow_invalidations.inc();
+        }
+    }
+
+    #[inline]
+    pub(crate) fn shadow_patch(&self) {
+        if self.enabled {
+            self.shadow_patches.inc();
         }
     }
 
@@ -209,6 +220,7 @@ mod tests {
         s.shadow_miss();
         s.shadow_rebuild();
         s.shadow_invalidation();
+        s.shadow_patch();
         s.prefetch_issue();
         s.tag_hit();
         s.tag_fallback();
@@ -222,6 +234,7 @@ mod tests {
             ("list.shadow_misses", 1),
             ("list.shadow_rebuilds", 1),
             ("list.shadow_invalidations", 1),
+            ("list.shadow_patches", 1),
             ("list.prefetch_issued", 1),
             ("list.tag_hits", 1),
             ("list.tag_fallbacks", 1),

@@ -134,12 +134,12 @@ impl UpSkipList {
             }
             let old = self.update(node, t.key_index, TOMBSTONE);
             if old != TOMBSTONE {
-                // The key's liveness changed: age out cached towers so
-                // shadow regions re-image (and compaction candidates are
-                // not navigated to via stale hints). The bump must land
-                // before the unlock — once the lock is released a reader
-                // may traverse under the old epoch and cache hints that
-                // skip the tombstoned key (PMS09).
+                // The key's liveness changed: stale every shadow region so
+                // it re-images. A tombstone moves no link and no `keys[0]`,
+                // so the image stays a safe hint without this bump; it stays
+                // until a restart metric that does not punish a faster
+                // remove window can judge deleting it (DESIGN.md). The bump
+                // must land before the unlock (PMS09).
                 self.invalidate_structure();
             }
             rwlock::read_unlock(self.space(), node);
@@ -238,7 +238,8 @@ impl UpSkipList {
         }
         self.space()
             .flush_deferred(pred.add(next_off_cfg(&self.cfg, 0) as u32), 1);
-        self.link_higher_levels(preds, succs, block, 1, height);
+        self.shadow_publish(0, block, key);
+        self.link_higher_levels(preds, succs, block, key, 1, height);
         true
     }
 
@@ -317,12 +318,14 @@ impl UpSkipList {
     /// matters for recovery (§4.5). Upper links are flushed with deferred
     /// durability (they are index-only state `complete_tower` can rebuild;
     /// losing them to a crash costs a repair, not data), so tower building
-    /// adds CLWBs but no fences to the insert.
+    /// adds CLWBs but no fences to the insert. Each published level is
+    /// written into the index image (`key0` is the node's first key).
     pub(crate) fn link_higher_levels(
         &self,
         preds: &mut [RivPtr; MAX_HEIGHT],
         succs: &mut [RivPtr; MAX_HEIGHT],
         node: RivPtr,
+        key0: u64,
         starting_level: usize,
         height: usize,
     ) {
@@ -344,6 +347,7 @@ impl UpSkipList {
                 {
                     self.space()
                         .flush_deferred(pred_l.add(next_off_cfg(&self.cfg, level) as u32), 1);
+                    self.shadow_publish(level, node, key0);
                     break;
                 }
                 // The neighborhood changed: re-traverse for the node's own
@@ -351,7 +355,7 @@ impl UpSkipList {
                 // Uncached: a stale shadow could re-serve the very arrays
                 // this CAS just rejected, livelocking the retry loop.
                 self.stats.cas_retry();
-                let t = self.traverse(self.key0(node), Descent::Uncached);
+                let t = self.traverse(key0, Descent::Uncached);
                 debug_assert!(t.found(), "node vanished while building its tower");
                 *preds = t.preds;
                 *succs = t.succs;
@@ -477,9 +481,6 @@ impl UpSkipList {
         self.space().fetch_add(node.add(N_SPLIT_COUNT as u32), 1);
         self.space().persist(node.add(N_SPLIT_COUNT as u32), 1);
         self.stats.node_split();
-        // One store invalidates every shadow region: keys moved between
-        // nodes, so the image's towers may now be loose bounds.
-        self.invalidate_structure();
         // Erase the moved pairs from the old node (lines 265–267).
         let moved_keys: HashSet<u64> = moved.iter().map(|&(k, _)| k).collect();
         for i in 0..self.cfg.keys_per_node {
@@ -493,7 +494,9 @@ impl UpSkipList {
         }
         self.space().persist(node, node_words(&self.cfg));
         rwlock::write_unlock(self.space(), node);
-        // Build the new node's tower (lines 269–270).
+        // Image the new node's level-0 link (mirrored on tagged lists only),
+        // outside the lock, then build its tower (lines 269–270).
+        self.shadow_publish(0, block, moved[0].0);
         self.complete_tower(block);
     }
 
@@ -505,7 +508,8 @@ impl UpSkipList {
     /// and the split count is bumped exactly as by a split, so a reader that
     /// read K there fails its validation once another key is claimed into
     /// the slot. No key changes node, so no allocation, link or tower is
-    /// involved. Returns false, having touched nothing, when there is no
+    /// involved, and the index image stays exact: it holds only links and
+    /// `keys[0]`. Returns false, having touched nothing, when there is no
     /// such slot; true once the node is purged and unlocked.
     fn purge_removed(&self, node: RivPtr, keys: &mut [u64], vals: &[u64]) -> bool {
         let mut last = 0;
@@ -525,9 +529,6 @@ impl UpSkipList {
         // to the last erased slot.
         self.space().persist(node, key_off(&self.cfg, last) + 1);
         self.stats.node_purge();
-        // Kept so a split-count bump always bumps the structure epoch
-        // (PMS09); nothing cached is stale, since no key moved.
-        self.invalidate_structure();
         if let Some(tags) = &self.tags {
             tags.fill(node, keys.iter().copied());
         }

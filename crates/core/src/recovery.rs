@@ -243,7 +243,7 @@ impl UpSkipList {
         }
         let mut preds = t.preds;
         let mut succs = t.succs;
-        self.link_higher_levels(&mut preds, &mut succs, node, t.level_found + 1, h);
+        self.link_higher_levels(&mut preds, &mut succs, node, k0, t.level_found + 1, h);
     }
 }
 

@@ -23,9 +23,14 @@
 //!   harmlessly (CAS success implies adjacency) and retry through an
 //!   uncached traversal. A stale shadow can therefore only cost extra hops
 //!   or failed CASes — never a wrong result.
-//! - **One invalidation epoch.** Structural changes (splits, purges, removes,
-//!   compaction) bump the shared [`StructureEpoch`]; every shadow region is
-//!   validated against that generation, so one store invalidates them all.
+//! - **Patched at publish.** Every link published at a mirrored level —
+//!   a new node's, a split's, each tower level's — is written into the
+//!   image right after its CAS ([`UpSkipList::shadow_publish`]), so splits
+//!   and purges leave the image exact. Only `remove` and `compact` stale or
+//!   discard it: `remove` bumps the shared [`StructureEpoch`], which every
+//!   region is validated against (one store stales them all), and
+//!   `compact` throws the image away. A patch that finds the image busy
+//!   bumps the epoch instead of waiting for it.
 //! - **Lazy regional rebuild.** The mirrored key space is divided into
 //!   regions stamped with the structure generation they were imaged at. A
 //!   consult landing in a stale region still uses it as a hint (safe, see
@@ -62,10 +67,10 @@ pub const DEFAULT_SHADOW_CAPACITY: usize = 1 << 20;
 /// divided into.
 pub const DEFAULT_SHADOW_REGIONS: usize = 64;
 
-/// The shared *structure generation*: a volatile counter bumped by every
-/// structural change (split, purge, remove, compaction). Shadow regions
-/// record the generation they were imaged at and are treated as stale on
-/// mismatch — one store invalidates them all.
+/// The shared *structure generation*: a volatile counter bumped by
+/// `remove`, by compaction, and by a link publish that found the image
+/// busy. Shadow regions record the generation they were imaged at and are
+/// treated as stale on mismatch — one store invalidates them all.
 #[derive(Debug, Default)]
 pub(crate) struct StructureEpoch(AtomicU64);
 
@@ -118,6 +123,23 @@ struct ShadowImage {
     levels: Vec<Vec<ShadowEntry>>,
     /// Structure generation each region of the base level was imaged at.
     region_gen: Vec<u64>,
+}
+
+impl ShadowImage {
+    /// Drop the lowest mirrored levels until the image holds at most
+    /// `capacity` entries, exactly as the rebuild would have; discard the
+    /// image when even the `top` level alone overflows.
+    fn fit(&mut self, capacity: usize, top: usize) {
+        let mut total: usize = self.levels.iter().map(Vec::len).sum();
+        while total > capacity && self.min_level < top {
+            total -= self.levels[self.min_level].len();
+            self.levels[self.min_level] = Vec::new();
+            self.min_level += 1;
+        }
+        if total > capacity {
+            *self = ShadowImage::default();
+        }
+    }
 }
 
 /// Owner of the shadow image plus its tuning knobs. Lives on the list
@@ -472,30 +494,56 @@ impl UpSkipList {
             img.levels[level].splice(s..e, fresh);
         }
         img.region_gen[r] = sgen;
-        // A refresh splices in towers the original rebuild never saw
-        // (splits grow levels mid-epoch), so re-enforce the capacity
-        // budget: drop the lowest mirrored levels until the image fits,
-        // exactly as the rebuild would have.
-        let capacity = self.shadow.capacity.load(Ordering::Acquire);
-        let mut total: usize = img.levels.iter().map(Vec::len).sum();
-        let mut min_level = img.min_level;
-        while total > capacity && min_level < top {
-            total -= img.levels[min_level].len();
-            img.levels[min_level] = Vec::new();
-            min_level += 1;
-        }
-        if total > capacity {
-            // Even the top level alone overflows: image unusable.
-            *img = ShadowImage::default();
+        // A refresh splices in towers the original rebuild never saw, so
+        // re-enforce the capacity budget.
+        img.fit(self.shadow.capacity.load(Ordering::Acquire), top);
+    }
+
+    /// Write a just-published link into the image: `node`, whose immutable
+    /// first key is `key0`, is now linked at `level`. Called right after
+    /// the link CAS, so the image stays exact through splits instead of
+    /// going stale. The entry goes in at its sorted position, or replaces
+    /// an equal key (a rebuild or refresh already saw the link).
+    ///
+    /// A no-op when the level is below the image floor or `min_level`, or
+    /// when the image is discarded or from another epoch (the next rebuild
+    /// walks the link). The caller may hold a node lock, so a busy image is
+    /// never waited for: the patch falls back to one structure-generation
+    /// bump, and the region that misses the link is re-imaged on its next
+    /// consult.
+    pub(crate) fn shadow_publish(&self, level: usize, node: RivPtr, key0: u64) {
+        let floor = if self.tags.is_some() { 0 } else { 1 };
+        if !self.cfg.shadow || level < floor {
             return;
         }
-        img.min_level = min_level;
+        let Ok(mut img) = self.shadow.image.try_write() else {
+            self.invalidate_structure();
+            return;
+        };
+        if img.epoch != self.epoch() || level < img.min_level {
+            return;
+        }
+        let v = &mut img.levels[level];
+        let pp = v.partition_point(|e| e.key0 < key0);
+        let entry = ShadowEntry { key0, node };
+        match v.get_mut(pp) {
+            Some(e) if e.key0 == key0 => *e = entry,
+            _ => v.insert(pp, entry),
+        }
+        self.stats.shadow_patch();
+        img.fit(
+            self.shadow.capacity.load(Ordering::Acquire),
+            self.cfg.max_height - 1,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
     use std::sync::Arc;
+
+    use riv::RivPtr;
 
     use crate::config::ListConfig;
     use crate::list::{ListBuilder, UpSkipList};
@@ -552,8 +600,8 @@ mod tests {
     #[test]
     fn shadow_answers_match_oracle_under_churn() {
         let l = list(8, 4);
-        // Interleave inserts/removes (both bump the structure generation)
-        // with reads that consult stale regions.
+        // Interleave inserts with removes (which bump the structure
+        // generation) and reads that consult stale regions.
         for k in 1..=300u64 {
             l.insert(k, k);
         }
@@ -576,28 +624,108 @@ mod tests {
         l.check_invariants();
     }
 
+    /// Every node linked at `level`, as `(keys[0], node)` in list order.
+    fn linked(l: &UpSkipList, level: usize) -> Vec<(u64, RivPtr)> {
+        let mut out = Vec::new();
+        let mut cur = l.next(l.head, level);
+        while cur != l.tail {
+            out.push((l.key0(cur), cur));
+            cur = l.next(cur, level);
+        }
+        out
+    }
+
+    /// The image's floor and its levels, as `(keys[0], node)` entries.
+    fn imaged(l: &UpSkipList) -> (usize, Vec<Vec<(u64, RivPtr)>>) {
+        let img = l.shadow.image.read().unwrap();
+        assert_ne!(img.epoch, 0, "the image must be built");
+        let levels = img.levels.iter();
+        let levels = levels.map(|v| v.iter().map(|e| (e.key0, e.node)).collect());
+        (img.min_level, levels.collect())
+    }
+
     #[test]
-    fn split_invalidates_every_shadow_region_in_one_store() {
-        let l = list(8, 4);
-        for k in (10..=100u64).step_by(10) {
-            l.insert(k, k);
+    fn splits_and_purges_patch_the_image_without_staling_it() {
+        for kpn in [16usize, 256] {
+            let l = list(8, kpn);
+            let n = 8 * kpn as u64;
+            for k in 1..=n {
+                l.insert(4 * k, k);
+            }
+            assert_eq!(l.get(4), Some(1)); // image built
+            let g0 = l.structure_gen();
+            let splits0 = l.registry().snapshot().counter("list.node_splits");
+            let before: HashSet<RivPtr> = linked(&l, 0).into_iter().map(|(_, p)| p).collect();
+            // Three keys into every gap: the half-full nodes overflow.
+            for k in 1..=n {
+                for d in 1..=3 {
+                    l.insert(4 * k + d, k);
+                }
+            }
+            assert!(l.registry().snapshot().counter("list.node_splits") > splits0);
+            assert_eq!(
+                l.structure_gen(),
+                g0,
+                "[{kpn}] a split patches the image instead of staling it"
+            );
+            let (min_level, levels) = imaged(&l);
+            let mut checked = 0;
+            for (level, image) in levels.iter().enumerate().skip(min_level) {
+                for (k0, node) in linked(&l, level) {
+                    if !before.contains(&node) {
+                        assert!(
+                            image.contains(&(k0, node)),
+                            "[{kpn}] new node {k0} is linked at level {level} but not imaged"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+            assert!(checked > 0, "[{kpn}] splits must have linked new towers");
+            l.check_invariants();
+
+            // A full node with removed keys reclaims their slots in place.
+            let l = list(8, kpn);
+            for k in 1..=kpn as u64 {
+                l.insert(k, k);
+            }
+            l.remove(2);
+            l.remove(3);
+            let g1 = l.structure_gen();
+            let m0 = l.registry().snapshot();
+            assert_eq!(l.insert(kpn as u64 + 1, 0), None);
+            let m = l.registry().snapshot().since(&m0);
+            assert_eq!(m.counter("list.node_purges"), 1, "[{kpn}]");
+            assert_eq!(m.counter("list.node_splits"), 0, "[{kpn}]");
+            assert_eq!(l.structure_gen(), g1, "[{kpn}] a purge moves no link");
+            assert_eq!(l.get(2), None);
+            assert_eq!(l.get(kpn as u64 + 1), Some(0));
+            l.check_invariants();
         }
-        assert_eq!(l.get(50), Some(50)); // image built
-        let g0 = l.structure_gen();
-        // Force a split of a full node.
-        for d in 1..=4u64 {
-            l.insert(50 + d, d);
+    }
+
+    #[test]
+    fn an_insert_only_load_keeps_the_image_equal_to_a_rebuild() {
+        for kpn in [16usize, 256] {
+            let l = list(12, kpn);
+            let n = 40 * kpn as u64;
+            // 7919 is prime and coprime to n: a scrambled order over 1..=n.
+            for i in 0..n {
+                let k = 1 + (i * 7919) % n;
+                l.insert(k, k);
+            }
+            let patched = imaged(&l);
+            let m = l.registry().snapshot();
+            assert_eq!(m.counter("list.shadow_invalidations"), 0, "[{kpn}]");
+            assert!(m.counter("list.shadow_patches") > 0, "[{kpn}]");
+            l.shadow.discard();
+            assert!(l.shadow_rebuild(l.epoch(), l.structure_gen()));
+            assert_eq!(
+                imaged(&l),
+                patched,
+                "[{kpn}] the patched image must equal a fresh rebuild"
+            );
         }
-        assert!(
-            l.structure_gen() > g0,
-            "a split must bump the shared structure generation"
-        );
-        // The stale image still gives correct answers afterwards.
-        for d in 0..=4u64 {
-            let expect = if d == 0 { 50 } else { d };
-            assert_eq!(l.get(50 + d), Some(expect));
-        }
-        l.check_invariants();
     }
 
     #[test]

@@ -134,8 +134,8 @@ impl UpSkipList {
         'outer: loop {
             let epoch = self.epoch();
             // One structure-generation load validates the shadow region for
-            // this whole descent: a concurrent split or remove invalidates it
-            // with its single bump.
+            // this whole descent: a concurrent remove invalidates it with its
+            // single bump (splits patch the image instead).
             let sgen = self.structure_gen();
             let mut preds = [RivPtr::NULL; MAX_HEIGHT];
             let mut succs = [RivPtr::NULL; MAX_HEIGHT];

@@ -142,8 +142,13 @@ impl<'a> Analysis<'a> {
         self.defs(name).iter().any(|&i| self.leaves_unflushed[i])
     }
 
+    /// A call to `name` bumps the `StructureEpoch` under every resolution
+    /// (ALL definitions, ≥ 1 def). PMS09 reads a bump as *discharging* an
+    /// obligation, so ANY-def would let one bumping definition of a common
+    /// name (`persist`, `space`, `fill`) clear every mutation that calls it.
     pub fn bumps_epoch_name(&self, name: &str) -> bool {
-        self.defs(name).iter().any(|&i| self.bumps_epoch[i])
+        let defs = self.defs(name);
+        !defs.is_empty() && defs.iter().all(|&i| self.bumps_epoch[i])
     }
 
     pub fn crashes_name(&self, name: &str) -> bool {

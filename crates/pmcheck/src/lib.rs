@@ -21,7 +21,7 @@
 //! | PMS05 | test calls `simulate_crash*` but never recovers/asserts afterwards |
 //! | PMS07 | `exempt_scope("tag")` with a tag not sanctioned in `pmcheck.toml` |
 //! | PMS08 | Release-published atomic loaded `Relaxed` in a persist-affecting function |
-//! | PMS09 | structure mutation with no reachable `StructureEpoch` bump before unlock |
+//! | PMS09 | tombstoning `update` with no reachable `StructureEpoch` bump before unlock |
 //! | PMS10 | inconsistent lock-acquisition order across `crates/service` |
 //! | PMS11 | volatile cache (allocator magazine) written before the publish CAS |
 //! | PMS12 | explicit fence inside an open `FlushEpoch` (the prepare phase must defer to the sweep) |
@@ -97,7 +97,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "PMS09",
-        "structure mutation with no StructureEpoch bump before unlock",
+        "tombstoning update with no StructureEpoch bump before unlock",
     ),
     (
         "PMS10",

@@ -15,10 +15,12 @@
 //!   also writes or publishes pmem: the load needs `Acquire` to pair with
 //!   the publish, or the data behind the guard may be read stale before
 //!   being persisted.
-//! * **PMS09** — a persistent-structure mutation (tombstoning `update`,
-//!   split-counter bump) reaches an unlock with no `StructureEpoch` bump
-//!   in between (directly or through a callee): concurrent readers may
-//!   keep navigating stale shadow hints licensed by the old epoch.
+//! * **PMS09** — a tombstoning `update(.., TOMBSTONE)` reaches an unlock
+//!   with no `StructureEpoch` bump in between, directly or through a
+//!   callee every definition of which bumps: concurrent readers may keep
+//!   navigating shadow regions imaged before the key died. Splits and
+//!   purges are not markers: a split writes its links into the image
+//!   after its unlock, and a purge moves no link and no `keys[0]`.
 //!   Scope: `crates/core`.
 //! * **PMS10** — lock-hierarchy lint over the `service` crate: the
 //!   per-function order of distinct `.lock()` acquisitions must form an
@@ -146,8 +148,8 @@ fn pms08(a: &Analysis<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// PMS09: structure mutation with no reachable StructureEpoch bump before
-/// the next unlock (crates/core only).
+/// PMS09: tombstoning update with no StructureEpoch bump before the next
+/// unlock (crates/core only).
 fn pms09(a: &Analysis<'_>, out: &mut Vec<Finding>) {
     for (i, f) in a.fns().iter().enumerate() {
         let info = &a.infos()[f.file];
@@ -184,9 +186,9 @@ fn pms09(a: &Analysis<'_>, out: &mut Vec<Finding>) {
                     line,
                     function: f.name.clone(),
                     message: format!(
-                        "persistent-structure mutation reaches the unlock on line {} with \
-                         no StructureEpoch bump in between — stale shadow hints \
-                         stay licensed for concurrent readers",
+                        "tombstoning update reaches the unlock on line {} with no \
+                         StructureEpoch bump in between — stale shadow hints stay \
+                         licensed for concurrent readers",
                         info.lines.line(u)
                     ),
                 });

@@ -7,10 +7,11 @@
 //! writes, crash simulations and recovery assertions, plus the atomic
 //! store/load orderings PMS08 pairs up. The file-level rules PMS03/04/07
 //! get sites instead, scanned over the whole file so one outside any `fn`
-//! body (a `static` initializer, a macro body) is still seen. The
-//! summaries stay at the token level — no types, no control flow — so an
-//! event's position is its byte offset, and "A before B" means "A's token
-//! appears earlier".
+//! body (a `static` initializer, a macro body) is still seen. A nested
+//! `fn` item is a function of its own: its events are not its enclosing
+//! function's. The summaries stay at the token level — no types, no
+//! control flow — so an event's position is its byte offset, and "A
+//! before B" means "A's token appears earlier".
 
 use std::ops::Range;
 
@@ -39,8 +40,7 @@ pub enum EventKind {
     EpochBump,
     /// A `*unlock(` token (the core rwlock release helpers).
     Unlock,
-    /// A persistent-structure mutation marker for PMS09: `update(...,
-    /// TOMBSTONE)` or a pmem `fetch_add` over the node split counter.
+    /// A tombstoning marker for PMS09: `update(.., TOMBSTONE)`.
     StructMutation,
     /// A volatile-cache write marker for PMS11 (allocator magazine
     /// refill).
@@ -300,7 +300,7 @@ pub fn summarize_file(file_idx: usize, rel: &str, src: &str) -> (FileInfo, Vec<F
         let mut events: Vec<Event> = Vec::new();
         let body = f.body.clone();
 
-        // Writes (pmem-shaped) — and the PMS09 split-counter marker.
+        // Writes (pmem-shaped).
         for t in WRITE_TOKENS {
             for w in occurrences(&stripped, body.clone(), t) {
                 let open = w + stripped[w..].find('(').unwrap_or(0);
@@ -314,12 +314,6 @@ pub fn summarize_file(file_idx: usize, rel: &str, src: &str) -> (FileInfo, Vec<F
                     at: w,
                     kind: EventKind::Write,
                 });
-                if *t == ".fetch_add(" && args.iter().any(|a| a.contains("N_SPLIT_COUNT")) {
-                    events.push(Event {
-                        at: w,
-                        kind: EventKind::StructMutation,
-                    });
-                }
             }
         }
         // Plain token markers: every occurrence is one event.
@@ -477,6 +471,14 @@ pub fn summarize_file(file_idx: usize, rel: &str, src: &str) -> (FileInfo, Vec<F
             }
         }
 
+        // A nested `fn` item has its own summary: its span's events are not
+        // the enclosing function's.
+        let nested: Vec<Range<usize>> = fns
+            .iter()
+            .filter(|g| g.sig_start > body.start && g.body.end <= body.end)
+            .map(|g| g.sig_start..g.body.end)
+            .collect();
+        events.retain(|e| !nested.iter().any(|r| r.contains(&e.at)));
         events.sort_by_key(|e| e.at);
         out.push(FnSummary {
             file: file_idx,

@@ -272,6 +272,71 @@ fn pms09_mutation_reaching_unlock_without_epoch_bump_is_caught() {
 }
 
 #[test]
+fn pms09_a_call_bumps_only_when_every_definition_of_its_name_bumps() {
+    // `fill` has a bumping and a non-bumping definition, so the call
+    // between the tombstone and the unlock proves no bump.
+    let src = "impl L {\n\
+               \x20   fn remove(&self, node: u64, idx: usize) -> u64 {\n\
+               \x20       let old = self.update(node, idx, TOMBSTONE);\n\
+               \x20       self.tags.fill(node);\n\
+               \x20       rwlock::read_unlock(self.space(), node);\n\
+               \x20       old\n\
+               \x20   }\n\
+               }\n\
+               impl Tags {\n\
+               \x20   fn fill(&self, node: u64) {\n\
+               \x20       self.slots[0] = node;\n\
+               \x20   }\n\
+               }\n\
+               impl Stale {\n\
+               \x20   fn fill(&self, node: u64) {\n\
+               \x20       self.invalidate_structure();\n\
+               \x20   }\n\
+               }\n";
+    assert_eq!(
+        source_hits(&[("crates/core/src/demo.rs", src)]),
+        vec![("PMS09".into(), "crates/core/src/demo.rs".into(), 3)],
+        "one bumping definition of `fill` must not discharge the tombstone"
+    );
+    // Every definition bumps: clean.
+    let fixed = src.replace("self.slots[0] = node;", "self.invalidate_structure();");
+    assert!(source_hits(&[("crates/core/src/demo.rs", &fixed)]).is_empty());
+    // A split-counter bump is no marker: a purge moves no link and no
+    // `keys[0]`, and a split patches the image after its unlock.
+    let purge = "impl L {\n\
+                 \x20   fn purge(&self, node: RivPtr) {\n\
+                 \x20       self.space().fetch_add(node.add(N_SPLIT_COUNT as u32), 1);\n\
+                 \x20       self.space().persist(node, 1);\n\
+                 \x20       rwlock::write_unlock(self.space(), node);\n\
+                 \x20   }\n\
+                 }\n";
+    assert!(source_hits(&[("crates/core/src/demo.rs", purge)]).is_empty());
+}
+
+#[test]
+fn a_nested_fn_owns_its_own_findings() {
+    let src = "use pmem::Pool;\n\
+               fn outer(p: &Pool) {\n\
+               \x20   p.write(16, 2);\n\
+               \x20   p.persist(16, 1);\n\
+               \x20   fn helper(p: &Pool) {\n\
+               \x20       p.write(8, 1);\n\
+               \x20   }\n\
+               }\n";
+    let files = vec![("crates/demo/src/a.rs".to_string(), src.to_string())];
+    let found: Vec<(String, String, usize)> = lint_sources(&files, &sanctioned())
+        .findings
+        .into_iter()
+        .map(|f| (f.rule.to_string(), f.function, f.line))
+        .collect();
+    assert_eq!(
+        found,
+        vec![("PMS01".into(), "helper".into(), 6)],
+        "the unflushed write is the nested helper's, not outer's"
+    );
+}
+
+#[test]
 fn pms10_conflicting_lock_order_is_caught_in_both_witnesses() {
     let src = "impl Svc {\n\
                \x20   fn forward(&self) {\n\
