@@ -22,7 +22,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use bench::{build_bztree, build_pmdkskip, Args, Deployment, KvIndex};
+use bench::{Args, Deployment, KvIndex, Target, UpSkipListOpts};
 use lincheck::{merge, OpKind, ThreadLog, Ticket, EMPTY};
 use pmem::{run_crashable, CrashController, Pool};
 use rand::{Rng, SeedableRng};
@@ -33,10 +33,11 @@ struct Subject {
     index: Arc<dyn KvIndex>,
     pools: Vec<Arc<Pool>>,
     controller: Arc<CrashController>,
-    /// Re-open after `simulate_crash` on every pool; returns the new index.
-    #[allow(clippy::type_complexity)]
-    reopen: Box<dyn Fn(&[Arc<Pool>]) -> Arc<dyn KvIndex>>,
+    reopen: Reopen,
 }
+
+/// Re-open after `simulate_crash` on every pool; returns the new index.
+type Reopen = Box<dyn Fn(&[Arc<Pool>]) -> Arc<dyn KvIndex>>;
 
 impl Subject {
     fn build(name: &str, keyspace: u64, evict: bool) -> Subject {
@@ -44,61 +45,29 @@ impl Subject {
             tracked: true,
             ..Deployment::simple(keyspace)
         };
-        match name {
-            "upskiplist" => {
-                let list = bench::build_upskiplist(
-                    &d,
-                    bench::UpSkipListOpts {
-                        keys_per_node: 16,
-                        evict_one_in: if evict { 4 } else { 0 },
-                        ..Default::default()
-                    },
-                );
-                let pools = list.space().pools().to_vec();
-                let controller = Arc::clone(pools[0].crash_controller());
-                let l2 = Arc::clone(&list);
-                Subject {
-                    name: "upskiplist",
-                    index: list,
-                    pools,
-                    controller,
-                    reopen: Box::new(move |_| {
-                        l2.recover();
-                        Arc::clone(&l2) as Arc<dyn KvIndex>
-                    }),
-                }
+        let opts = UpSkipListOpts {
+            keys_per_node: 16,
+            evict_one_in: if evict { 4 } else { 0 },
+            ..Default::default()
+        };
+        let t = Target::build(name, &d, 20_000, opts);
+        let reopen: Reopen = match (name, t.list) {
+            (_, Some(list)) => Box::new(move |_| {
+                list.recover();
+                Arc::clone(&list) as Arc<dyn KvIndex>
+            }),
+            ("bztree", None) => Box::new(|pools| bztree::BzTree::open(Arc::clone(&pools[0])).0),
+            ("pmdkskip", None) => {
+                Box::new(|pools| pmdkskip::PmdkSkipList::open(Arc::clone(&pools[0])).0)
             }
-            "bztree" => {
-                let tree = build_bztree(&d, 20_000);
-                let pools = vec![Arc::clone(tree.pool())];
-                let controller = Arc::clone(pools[0].crash_controller());
-                Subject {
-                    name: "bztree",
-                    index: tree,
-                    pools,
-                    controller,
-                    reopen: Box::new(|pools| {
-                        let (tree, _stats) = bztree::BzTree::open(Arc::clone(&pools[0]));
-                        tree as Arc<dyn KvIndex>
-                    }),
-                }
-            }
-            "pmdkskip" => {
-                let list = build_pmdkskip(&d);
-                let pools = vec![Arc::clone(list.pool())];
-                let controller = Arc::clone(pools[0].crash_controller());
-                Subject {
-                    name: "pmdkskip",
-                    index: list,
-                    pools,
-                    controller,
-                    reopen: Box::new(|pools| {
-                        let (list, _rolled) = pmdkskip::PmdkSkipList::open(Arc::clone(&pools[0]));
-                        list as Arc<dyn KvIndex>
-                    }),
-                }
-            }
-            other => panic!("unknown structure {other}"),
+            (other, None) => panic!("{other} has no crash-recovery reopen"),
+        };
+        Subject {
+            name: t.index.name(),
+            controller: Arc::clone(t.pools[0].crash_controller()),
+            index: t.index,
+            pools: t.pools,
+            reopen,
         }
     }
 }

@@ -4,12 +4,7 @@
 //!
 //! Emits CSV: `workload,structure,op,p50,p90,p99,p99.9,p99.99,max` (µs).
 
-use std::sync::Arc;
-
-use bench::{
-    build_bztree, build_pmdkskip, build_upskiplist, percentile, Args, Deployment, KvIndex,
-    UpSkipListOpts,
-};
+use bench::{percentile, Args, Call, Deployment, Target, UpSkipListOpts};
 use ycsb::workload_by_name;
 
 fn us(ns: u64) -> f64 {
@@ -30,29 +25,25 @@ fn main() {
     let structures = args.list("structures", "upskiplist,bztree,pmdkskip");
     let desc_count = args.usize("descriptors", 500_000.min(records as usize));
 
+    let d = Deployment::simple(records);
+    let opts = UpSkipListOpts::keys_per_node(256);
+
     println!("workload,structure,op,p50,p90,p99,p99.9,p99.99,max");
     for wname in &workloads {
         let spec = workload_by_name(wname).unwrap_or_else(|| panic!("unknown workload {wname}"));
         let w = ycsb::generate(spec, records, ops, threads, 42);
         for s in &structures {
-            let d = Deployment::simple(records);
-            let (name, index): (&'static str, Arc<dyn KvIndex>) = match s.as_str() {
-                "upskiplist" => (
-                    "upskiplist",
-                    build_upskiplist(&d, UpSkipListOpts::keys_per_node(256)),
-                ),
-                "bztree" => ("bztree", build_bztree(&d, desc_count)),
-                "pmdkskip" => ("pmdkskip", build_pmdkskip(&d)),
-                other => panic!("unknown structure {other}"),
-            };
+            let index = Target::build(s, &d, desc_count, opts).index;
             bench::load(&index, &w, threads.max(4), 1);
-            let _ = bench::run(&index, &w, 1, false, "warmup");
-            let r = bench::run(&index, &w, 1, true, name);
-            for (op, lat) in [
-                ("read", &r.read_latencies),
-                ("update", &r.update_latencies),
-                ("insert", &r.insert_latencies),
+            let _ = bench::run(&index, &w, 1, 1, false);
+            let r = bench::run(&index, &w, 1, 1, true);
+            let name = index.name();
+            for (op, calls) in [
+                ("read", &[Call::Read, Call::Scan][..]),
+                ("update", &[Call::Update, Call::Rmw]),
+                ("insert", &[Call::Insert]),
             ] {
+                let lat = r.samples(calls);
                 if lat.is_empty() {
                     continue;
                 }
@@ -61,11 +52,11 @@ fn main() {
                     spec.name,
                     name,
                     op,
-                    us(percentile(lat, 50.0)),
-                    us(percentile(lat, 90.0)),
-                    us(percentile(lat, 99.0)),
-                    us(percentile(lat, 99.9)),
-                    us(percentile(lat, 99.99)),
+                    us(percentile(&lat, 50.0)),
+                    us(percentile(&lat, 90.0)),
+                    us(percentile(&lat, 99.0)),
+                    us(percentile(&lat, 99.9)),
+                    us(percentile(&lat, 99.99)),
                     us(*lat.last().unwrap()),
                 );
             }

@@ -16,30 +16,28 @@
 //! upskiplist `mixed_mops` of this run (with the pmcheck dynamic detector
 //! at its default `PmCheckLevel::Off`, whose entire hot-path cost is one
 //! relaxed `AtomicU8` load and a predictable branch per pmem op) against
-//! the checked-in pre-detector baseline, and exits nonzero if throughput
-//! fell below `R` × baseline (default 0.5 — generous on purpose: the
-//! guard is a tripwire for the detector accidentally going hot at `Off`,
-//! not a precision benchmark).
+//! the checked-in baseline, and exits nonzero if throughput fell below
+//! `R` × baseline (default 0.5 — generous on purpose: the guard is a
+//! tripwire for the detector accidentally going hot at `Off`, not a
+//! precision benchmark). It also exits nonzero ("baseline scale
+//! mismatch") unless the baseline's `records`, `ops`, `threads` and
+//! `batch` equal this run's.
 //!
 //! `--lint-time [--lint-budget SECS]` times the static persist-ordering
 //! lint (the whole interprocedural pass) over the workspace and fails if
 //! it exceeds the budget (default 5 s) — the lint blocks CI, so its wall
 //! time is guarded like any other regression.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use bench::metrics::{
-    push_attribution_rows, push_latency_rows, push_struct_rows, stats_by_op, write_report,
+    push_attribution_rows, push_latency_rows, push_struct_rows, record_latencies, stats_by_op,
+    write_report,
 };
-use bench::{
-    build_bztree, build_hybridskip, build_pmdkskip, build_upskiplist, run_metrics, Args,
-    Deployment, KvIndex, UpSkipListOpts,
-};
+use bench::{Args, Deployment, Target, UpSkipListOpts};
 use obs::report::MetricsReport;
 use obs::{ObsLevel, Registry};
-use pmem::stats::OP_KINDS;
-use pmem::{op_tag, OpKind, Pool};
+use pmem::{op_tag, OpKind};
 use ycsb::{Distribution, WorkloadSpec};
 
 /// Mixed point/range workload so every supported op kind shows up.
@@ -64,65 +62,35 @@ const READS: WorkloadSpec = WorkloadSpec {
     distribution: Distribution::Uniform,
 };
 
-struct Target {
-    index: Arc<dyn KvIndex>,
-    pools: Vec<Arc<Pool>>,
-    upskiplist: Option<Arc<upskiplist::UpSkipList>>,
-}
-
-fn build(name: &str, d: &Deployment, desc_count: usize, keys_per_node: usize) -> Target {
-    match name {
-        "upskiplist" => {
-            let l = build_upskiplist(d, UpSkipListOpts::keys_per_node(keys_per_node));
-            Target {
-                pools: l.space().pools().to_vec(),
-                upskiplist: Some(Arc::clone(&l)),
-                index: l,
-            }
-        }
-        "bztree" => {
-            let t = build_bztree(d, desc_count);
-            Target {
-                pools: vec![Arc::clone(t.pool())],
-                upskiplist: None,
-                index: t,
-            }
-        }
-        "pmdkskip" => {
-            let s = build_pmdkskip(d);
-            Target {
-                pools: vec![Arc::clone(s.pool())],
-                upskiplist: None,
-                index: s,
-            }
-        }
-        "hybridskip" => {
-            let h = build_hybridskip(d);
-            Target {
-                pools: vec![Arc::clone(h.pool())],
-                upskiplist: None,
-                index: h,
-            }
-        }
-        other => panic!("unknown structure {other}"),
-    }
-}
-
-/// Pull `structures.<name>.all.mixed_mops` out of a `MetricsReport` JSON
-/// file with a dependency-free scan: find the structure key, then the
-/// first `"mixed_mops":` after it (the `all` section is emitted first).
-fn baseline_mixed_mops(path: &str, structure: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let at = text.find(&format!("\"{structure}\""))?;
-    let rest = &text[at..];
-    let v = rest
-        .find("\"mixed_mops\":")
-        .map(|i| i + "\"mixed_mops\":".len())?;
-    let tail = rest[v..].trim_start();
+/// The number after the first `"key":` in `text`: a dependency-free scan
+/// of a `MetricsReport` JSON file, whose header (`records`, `ops`, ...)
+/// precedes every per-structure section.
+fn json_number(text: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\":");
+    let tail = text[text.find(&pat)? + pat.len()..].trim_start();
     let end = tail
         .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
         .unwrap_or(tail.len());
     tail[..end].parse().ok()
+}
+
+/// The upskiplist `mixed_mops` of the baseline report at `path`, or `None`
+/// when there is none. Exits nonzero when the baseline ran at another
+/// scale than `scale`: throughput at another scale is no yardstick.
+fn guard_baseline(path: &str, scale: [(&str, u64); 4]) -> Option<f64> {
+    let text = std::fs::read_to_string(path).ok()?;
+    for (key, ours) in scale {
+        let theirs = json_number(&text, key).unwrap_or(f64::NAN);
+        if theirs != ours as f64 {
+            eprintln!(
+                "pmcheck guard: FAIL — baseline scale mismatch: {path} has {key} {theirs}, \
+                 this run {ours}"
+            );
+            std::process::exit(1);
+        }
+    }
+    let at = text.find("\"upskiplist\"")?;
+    json_number(&text[at..], "mixed_mops")
 }
 
 /// Walk up from the cwd to the directory holding `crates/` — same
@@ -148,7 +116,7 @@ fn main() {
     let batch = args.usize("batch", 32);
     let structures = args.list("structures", "upskiplist,bztree,pmdkskip,hybridskip");
     let desc_count = args.usize("descriptors", 500_000.min(records as usize));
-    let keys_per_node = args.usize("keys-per-node", 256);
+    let opts = UpSkipListOpts::keys_per_node(args.usize("keys-per-node", 256));
     let guard = args.flag("guard");
     let baseline_path = args.get("baseline").unwrap_or("results/BENCH_metrics.json");
     let guard_ratio: f64 = args
@@ -158,8 +126,14 @@ fn main() {
     // Read the baseline up front: the same invocation may rewrite the
     // baseline file via --json, and the guard must compare against the
     // pre-run numbers, not its own output.
+    let scale = [
+        ("records", records),
+        ("ops", ops),
+        ("threads", threads as u64),
+        ("batch", batch as u64),
+    ];
     let guard_base = guard
-        .then(|| baseline_mixed_mops(baseline_path, "upskiplist"))
+        .then(|| guard_baseline(baseline_path, scale))
         .flatten();
     let mut guard_mops: Option<f64> = None;
 
@@ -177,17 +151,19 @@ fn main() {
             obs: ObsLevel::Counters,
             ..Deployment::simple(records)
         };
-        let t = build(sname, &d, desc_count, keys_per_node);
+        let t = Target::build(sname, &d, desc_count, opts);
         let registry = Registry::new();
         let before = stats_by_op(&t.pools);
 
         // Load is untagged on purpose: it lands in the `other` bucket so
         // the per-op numbers below measure steady state only.
         bench::load(&t.index, &mixed, threads.max(4), 1);
-        let base = t.upskiplist.as_ref().map(|l| l.registry().snapshot());
+        let base = t.list.as_ref().map(|l| l.registry().snapshot());
 
-        let mixed_r = run_metrics(&t.index, &mixed, 1, 1, "mixed", Some(&registry));
-        let batched_r = run_metrics(&t.index, &reads, 1, batch, "reads", Some(&registry));
+        let mixed_r = bench::run(&t.index, &mixed, 1, 1, true);
+        let batched_r = bench::run(&t.index, &reads, 1, batch, true);
+        record_latencies(&registry, &mixed_r);
+        record_latencies(&registry, &batched_r);
 
         // Remove pass: tombstone a tenth of the key space.
         let lat_remove = registry.histogram("lat.remove");
@@ -202,18 +178,11 @@ fn main() {
         }
 
         let after = stats_by_op(&t.pools);
-        // Driver-level call counts per kind, straight from the latency
-        // histograms (one sample per call).
-        let mut op_counts = [0u64; OP_KINDS];
-        for (name, kind) in [
-            ("lat.get", OpKind::Get),
-            ("lat.insert", OpKind::Insert),
-            ("lat.remove", OpKind::Remove),
-            ("lat.scan", OpKind::Scan),
-            ("lat.batch", OpKind::Batch),
-        ] {
-            op_counts[kind as usize] = registry.histogram(name).count();
+        let mut op_counts = mixed_r.calls_by_kind();
+        for (n, b) in op_counts.iter_mut().zip(batched_r.calls_by_kind()) {
+            *n += b;
         }
+        op_counts[OpKind::Remove as usize] = removes;
 
         push_attribution_rows(&mut report, sname, &before, &after, &op_counts);
         push_latency_rows(&mut report, sname, &registry);
@@ -221,10 +190,7 @@ fn main() {
             // PMD02 (redundant empty fence) per op kind, from a small
             // single-threaded Track-level probe: the fence-diet insert
             // path must keep its bucket at zero.
-            let (pmd02, pops) = bench::metrics::pmd02_probe(
-                UpSkipListOpts::keys_per_node(keys_per_node),
-                (records / 10).max(500),
-            );
+            let (pmd02, pops) = bench::metrics::pmd02_probe(opts, (records / 10).max(500));
             bench::metrics::push_pmd02_rows(&mut report, sname, &pmd02, &pops);
         }
         report.push(sname, "all", "mixed_mops", mixed_r.mops());
@@ -239,7 +205,7 @@ fn main() {
             }
             guard_mops = Some(mixed_r.mops());
         }
-        if let (Some(l), Some(base)) = (&t.upskiplist, base) {
+        if let (Some(l), Some(base)) = (&t.list, base) {
             push_struct_rows(&mut report, sname, &l.registry().snapshot().since(&base));
         }
         eprintln!(
@@ -300,7 +266,7 @@ fn main() {
             Some(base) => {
                 let floor = base * guard_ratio;
                 eprintln!(
-                    "pmcheck guard: upskiplist mixed {current:.3} Mops vs pre-detector \
+                    "pmcheck guard: upskiplist mixed {current:.3} Mops vs \
                      baseline {base:.3} Mops (floor {floor:.3} at ratio {guard_ratio})"
                 );
                 if current < floor {

@@ -41,11 +41,11 @@ fn main() {
                 let index: Arc<dyn KvIndex> =
                     build_upskiplist(&d, UpSkipListOpts::keys_per_node(256));
                 bench::load(&index, &w, (*t).max(4), nodes);
-                let _ = bench::run(&index, &w, nodes, false, "warmup");
+                let _ = bench::run(&index, &w, nodes, 1, false);
                 // Median of three timed runs: single runs are noisy on
                 // shared/oversubscribed hosts.
                 let mut mops: Vec<f64> = (0..3)
-                    .map(|_| bench::run(&index, &w, nodes, false, deployment).mops())
+                    .map(|_| bench::run(&index, &w, nodes, 1, false).mops())
                     .collect();
                 mops.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 let med = mops[1];

@@ -31,8 +31,8 @@ fn main() {
         let fat: Arc<dyn KvIndex> = build_pmdkskip(&d);
         for (name, index) in [("riv_single_key", &riv), ("fat_pointers", &fat)] {
             bench::load(index, &w, (*t).max(4), 1);
-            let _ = bench::run(index, &w, 1, false, "warmup");
-            let r = bench::run(index, &w, 1, false, name);
+            let _ = bench::run(index, &w, 1, 1, false);
+            let r = bench::run(index, &w, 1, 1, false);
             println!("{},{},{:.4}", name, t, r.mops());
         }
     }

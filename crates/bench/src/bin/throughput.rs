@@ -5,11 +5,12 @@
 //! cargo run --release -p bench --bin throughput -- \
 //!     --workloads A,B,C,D --threads 1,2,4,8 --records 200000 --ops 400000
 //! ```
-//! `--batch N` groups consecutive reads into `get_batch` calls of up to N
-//! keys (writes flush the pending batch, preserving per-thread order).
-//! `--metrics PATH` switches the pools to `ObsLevel::Counters`, tags every
-//! op for per-op pmem attribution, and writes a [`MetricsReport`]
-//! (JSON or CSV by extension) alongside the throughput CSV on stdout.
+//! `--batch N` groups consecutive reads into `get_batch` calls and
+//! consecutive writes into `insert_batch` calls of up to N ops, preserving
+//! per-thread order. `--metrics PATH` switches the pools to
+//! `ObsLevel::Counters` and writes a [`MetricsReport`] (JSON or CSV by
+//! extension) alongside the throughput CSV on stdout: per-op pmem
+//! attribution of the very run it times, batched or not.
 //! Emits CSV: `workload,structure,threads,mops`.
 //!
 //! A watchdog ends a stalled sweep: when no driver thread completes an
@@ -21,14 +22,9 @@
 use std::sync::{Arc, Mutex};
 
 use bench::metrics::{push_attribution_rows, stats_by_op, write_report};
-use bench::{
-    build_bztree, build_pmdkskip, build_upskiplist, run_metrics, watchdog, Args, Deployment,
-    KvIndex, UpSkipListOpts,
-};
+use bench::{watchdog, Args, Deployment, Target, UpSkipListOpts};
 use obs::report::MetricsReport;
-use obs::{ObsLevel, Registry};
-use pmem::stats::OP_KINDS;
-use pmem::{OpKind, Pool};
+use obs::ObsLevel;
 use upskiplist::UpSkipList;
 use ycsb::workload_by_name;
 
@@ -91,61 +87,25 @@ fn main() {
                     },
                     ..Deployment::simple(records)
                 };
-                let mut list = None;
-                let (index, pools): (Arc<dyn KvIndex>, Vec<Arc<Pool>>) = match s.as_str() {
-                    "upskiplist" => {
-                        let l = build_upskiplist(&d, UpSkipListOpts::keys_per_node(256));
-                        let pools = l.space().pools().to_vec();
-                        list = Some(Arc::clone(&l));
-                        (l, pools)
-                    }
-                    "bztree" => {
-                        let b = build_bztree(&d, desc_count);
-                        let pools = vec![Arc::clone(b.pool())];
-                        (b, pools)
-                    }
-                    "pmdkskip" => {
-                        let p = build_pmdkskip(&d);
-                        let pools = vec![Arc::clone(p.pool())];
-                        (p, pools)
-                    }
-                    other => panic!("unknown structure {other}"),
-                };
+                let target = Target::build(s, &d, desc_count, UpSkipListOpts::keys_per_node(256));
                 *cell.lock().unwrap_or_else(|e| e.into_inner()) = Cell {
                     label: format!("{} x {s} x {t} threads", spec.name),
-                    list,
+                    list: target.list.clone(),
                 };
-                bench::load(&index, &w, (*t).max(4), 1);
+                let index = &target.index;
+                bench::load(index, &w, (*t).max(4), 1);
                 // Warm-up pass (caches, free lists), then the measured run.
-                let _ = bench::run(&index, &w, 1, false, "warmup");
-                let name: &'static str = match s.as_str() {
-                    "upskiplist" => "upskiplist",
-                    "bztree" => "bztree",
-                    _ => "pmdkskip",
-                };
-                let r = if metrics_path.is_some() {
-                    let registry = Registry::new();
-                    let before = stats_by_op(&pools);
-                    let r = run_metrics(&index, &w, 1, batch, name, Some(&registry));
-                    let after = stats_by_op(&pools);
-                    let mut op_counts = [0u64; OP_KINDS];
-                    for (h, kind) in [
-                        ("lat.get", OpKind::Get),
-                        ("lat.insert", OpKind::Insert),
-                        ("lat.scan", OpKind::Scan),
-                        ("lat.batch", OpKind::Batch),
-                    ] {
-                        op_counts[kind as usize] = registry.histogram(h).count();
-                    }
+                let _ = bench::run(index, &w, 1, 1, false);
+                let before = stats_by_op(&target.pools);
+                let r = bench::run(index, &w, 1, batch, false);
+                let name = index.name();
+                if metrics_path.is_some() {
                     let label = format!("{name}[{},t{}]", spec.name, t);
-                    push_attribution_rows(&mut report, &label, &before, &after, &op_counts);
+                    let after = stats_by_op(&target.pools);
+                    let calls = r.calls_by_kind();
+                    push_attribution_rows(&mut report, &label, &before, &after, &calls);
                     report.push(&label, "all", "mops", r.mops());
-                    r
-                } else if batch > 1 {
-                    bench::run_batched(&index, &w, 1, batch, name)
-                } else {
-                    bench::run(&index, &w, 1, false, name)
-                };
+                }
                 println!("{},{},{},{:.4}", spec.name, name, t, r.mops());
             }
         }

@@ -141,14 +141,10 @@ fn measure(
     let insert_reads = load_counting_reads(&index, &w);
     // Warm-up pass, then snapshot the counters around the measured run so
     // load/warm-up traffic (including the lazy shadow build) is excluded.
-    let _ = bench::run(&index, &w, 1, false, "warmup");
+    let _ = bench::run(&index, &w, 1, 1, false);
     let before = pmem_reads(&index);
     let sbefore = index.registry().snapshot();
-    let r = if batch > 1 {
-        bench::run_batched(&index, &w, 1, batch, variant)
-    } else {
-        bench::run(&index, &w, 1, false, variant)
-    };
+    let r = bench::run(&index, &w, 1, batch, false);
     let after = pmem_reads(&index);
     let structure = index.registry().snapshot().since(&sbefore);
     Row {

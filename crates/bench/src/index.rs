@@ -12,19 +12,15 @@ use upskiplist::{ListBuilder, ListConfig, UpSkipList};
 
 /// What the benchmarks need from an index.
 ///
-/// Every structure supports point ops (`insert`/`get`/`remove`); scans are
-/// a capability (`supports_scan`), and `scan` returns `None` when the
-/// structure has no range path — the driver skips rather than panics.
+/// Every structure supports point ops (`insert`/`get`/`remove`); `scan`
+/// returns `None` when the structure has no range path, and the driver
+/// then leaves the call out of its counts and timings.
 pub trait KvIndex: Send + Sync {
     fn name(&self) -> &'static str;
     fn insert(&self, key: u64, value: u64) -> Option<u64>;
     fn get(&self, key: u64) -> Option<u64>;
     /// Tombstone/delete `key`, returning the previous live value.
     fn remove(&self, key: u64) -> Option<u64>;
-    /// Whether [`KvIndex::scan`] returns `Some` on this structure.
-    fn supports_scan(&self) -> bool {
-        true
-    }
     /// Range scan from `from`, up to `limit` records (workload E).
     /// Returns the number of records visited, or `None` when the
     /// structure has no range path.
@@ -41,11 +37,6 @@ pub trait KvIndex: Send + Sync {
     /// pairs one at a time in input order.
     fn insert_batch(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
         pairs.iter().map(|&(k, v)| self.insert(k, v)).collect()
-    }
-    /// Batched removal, removed values in input order. Default loops
-    /// [`KvIndex::remove`]; same non-atomicity caveat as `insert_batch`.
-    fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        keys.iter().map(|&k| self.remove(k)).collect()
     }
     /// Durability ack boundary: fence any flush-deferred publish lines so
     /// every operation completed so far on this thread is crash-durable
@@ -76,9 +67,6 @@ impl KvIndex for UpSkipList {
     }
     fn insert_batch(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
         UpSkipList::insert_batch(self, pairs)
-    }
-    fn remove_batch(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        UpSkipList::remove_batch(self, keys)
     }
     fn sync(&self) {
         UpSkipList::sync(self);
@@ -133,9 +121,6 @@ impl KvIndex for HybridSkipList {
     }
     fn remove(&self, key: u64) -> Option<u64> {
         HybridSkipList::remove(self, key)
-    }
-    fn supports_scan(&self) -> bool {
-        false
     }
     fn scan(&self, _from: u64, _limit: usize) -> Option<usize> {
         // The hybrid baseline keeps its index sharded by hash; it exists
@@ -347,6 +332,43 @@ pub fn build_hybridskip(d: &Deployment) -> Arc<HybridSkipList> {
     HybridSkipList::create(build_pool(d, words))
 }
 
+/// A structure under test, built by name: the index the driver plays
+/// against, every pool it allocates from (per-op attribution sums their
+/// counters), and the list itself when it is an UPSkipList.
+pub struct Target {
+    pub index: Arc<dyn KvIndex>,
+    pub pools: Vec<Arc<Pool>>,
+    pub list: Option<Arc<UpSkipList>>,
+}
+
+impl Target {
+    /// Build `name` (`upskiplist`, `bztree`, `pmdkskip` or `hybridskip`)
+    /// sized for `d`; panics on any other name. `desc_count` sizes the
+    /// BzTree's PMwCAS descriptor pool, `opts` configures an UPSkipList.
+    pub fn build(name: &str, d: &Deployment, desc_count: usize, opts: UpSkipListOpts) -> Target {
+        let (index, pools, list): (Arc<dyn KvIndex>, _, _) = match name {
+            "upskiplist" => {
+                let l = build_upskiplist(d, opts);
+                (l.clone(), l.space().pools().to_vec(), Some(l))
+            }
+            "bztree" => {
+                let t = build_bztree(d, desc_count);
+                (t.clone(), vec![Arc::clone(t.pool())], None)
+            }
+            "pmdkskip" => {
+                let s = build_pmdkskip(d);
+                (s.clone(), vec![Arc::clone(s.pool())], None)
+            }
+            "hybridskip" => {
+                let h = build_hybridskip(d);
+                (h.clone(), vec![Arc::clone(h.pool())], None)
+            }
+            other => panic!("unknown structure {other}"),
+        };
+        Target { index, pools, list }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,11 +390,8 @@ mod tests {
             assert_eq!(i.get(10), None, "{}", i.name());
             i.insert(5, 50);
             i.insert(7, 70);
-            if i.supports_scan() {
-                assert_eq!(i.scan(1, 10), Some(2), "{}", i.name());
-            } else {
-                assert_eq!(i.scan(1, 10), None, "{}", i.name());
-            }
+            let range = (i.name() != "hybridskip").then_some(2);
+            assert_eq!(i.scan(1, 10), range, "{}", i.name());
         }
     }
 

@@ -12,6 +12,12 @@
 //!   analysis)
 //! * `traversal` — E-series extension: shadowed/batched descents vs the
 //!   seed head-descent (throughput and pmem reads per op)
+//!
+//! Every binary that plays a YCSB trace plays it through [`driver::run`],
+//! the one playback loop: each call runs under its per-op pmem tag,
+//! `batch > 1` groups reads and writes, and latency capture times the same
+//! calls, so a throughput number and its per-op breakdown come from one
+//! program. [`Target::build`] builds any structure under test by name.
 
 pub mod args;
 pub mod driver;
@@ -21,8 +27,8 @@ pub mod sweep;
 pub mod watchdog;
 
 pub use args::{default_thread_sweep, Args};
-pub use driver::{load, percentile, run, run_batched, run_metrics, RunResult};
+pub use driver::{load, percentile, run, Call, RunResult};
 pub use index::{
     build_bztree, build_hybridskip, build_pmdkskip, build_pool, build_upskiplist,
-    build_upskiplist_at, build_upskiplist_shards, Deployment, KvIndex, UpSkipListOpts,
+    build_upskiplist_at, build_upskiplist_shards, Deployment, KvIndex, Target, UpSkipListOpts,
 };

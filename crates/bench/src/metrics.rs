@@ -1,6 +1,6 @@
 //! Shared plumbing for the metrics experiments: per-op pmem attribution
-//! over a set of pools, latency summaries from the driver's `lat.<op>`
-//! histograms, and row emission into an [`obs::report::MetricsReport`].
+//! over a set of pools, `lat.<op>` latency histograms filled from the
+//! driver's samples, and row emission into an [`obs::report::MetricsReport`].
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use obs::Registry;
 use pmem::stats::OP_KINDS;
 use pmem::{OpKind, Pool, StatsSnapshot};
 
-use crate::{build_upskiplist, Deployment, UpSkipListOpts};
+use crate::{build_upskiplist, Call, Deployment, RunResult, UpSkipListOpts};
 
 /// Aggregate per-op pmem counters across `pools` (a structure's whole
 /// footprint, whether one pool or one per NUMA node).
@@ -118,20 +118,26 @@ pub fn push_pmd02_rows(
     }
 }
 
-/// The `(histogram name, op label)` pairs the driver records into.
-pub const LAT_HISTOGRAMS: [(&str, &str); 5] = [
-    ("lat.get", "get"),
-    ("lat.insert", "insert"),
-    ("lat.remove", "remove"),
-    ("lat.scan", "scan"),
-    ("lat.batch", "batch"),
-];
+/// Record a run's latency samples into `registry`'s `lat.<op>`
+/// histograms, each call under the op kind it ran as.
+pub fn record_latencies(registry: &Registry, r: &RunResult) {
+    for c in Call::ALL {
+        let h = registry.histogram(&format!("lat.{}", c.kind().name()));
+        for &ns in &r.latencies[c as usize] {
+            h.record(ns);
+        }
+    }
+}
 
 /// Append latency-summary rows (count, mean, p50/p95/p99, max — all ns)
 /// for every `lat.<op>` histogram in `registry` that recorded samples.
 pub fn push_latency_rows(report: &mut MetricsReport, structure: &str, registry: &Registry) {
-    for (name, op) in LAT_HISTOGRAMS {
-        let s = registry.histogram(name).snapshot().summary();
+    for kind in OpKind::ALL {
+        let op = kind.name();
+        let s = registry
+            .histogram(&format!("lat.{op}"))
+            .snapshot()
+            .summary();
         if s.count == 0 {
             continue;
         }

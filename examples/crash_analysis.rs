@@ -53,7 +53,13 @@ fn main() {
                         } else {
                             let value = ticket.next();
                             let idx = log.begin(ticket, OpKind::Write, key, value);
-                            match pmem::run_crashable(|| list.insert(key, value)) {
+                            // An insert's publish link is flush-deferred:
+                            // fence it before the write is logged as acked.
+                            match pmem::run_crashable(|| {
+                                let old = list.insert(key, value);
+                                list.sync();
+                                old
+                            }) {
                                 Ok(old) => log.finish(ticket, idx, old.unwrap_or(EMPTY)),
                                 Err(_) => break,
                             }
