@@ -20,17 +20,15 @@
 //!                                        #   inserts on the single-stream path
 //! ```
 //!
-//! The skip-list rows also count node purges (full nodes that reclaimed
-//! their removed keys' slots instead of splitting); a sweep of the
-//! `upskiplist` subject that ran none exits non-zero, since no crash point
-//! can then have landed inside one. The allocator rows count leases the
-//! same way: `pmalloc` (one-block leases) or `pmalloc-mag` (8-block
-//! leases) finishing with none exits non-zero.
+//! A grid fails when its crash never fired, or when the registry counter
+//! its subject names as proof of reaching the path under test stayed 0
+//! (`list.node_purges` for the skip list's churn phase, `alloc.leases` for
+//! both allocator subjects).
 
 use bench::args::Args;
 use bench::sweep::{
-    standard_plans, sweep, sweep_epoch_points, AllocSubject, PmwcasSubject, SkipListSubject,
-    SweepConfig, SweepOutcome, TxSubject,
+    standard_plans, sweep, AllocSubject, PmwcasSubject, SkipListSubject, SweepConfig, SweepOutcome,
+    TxSubject,
 };
 
 fn main() {
@@ -44,17 +42,17 @@ fn main() {
     let ops = args.u64("ops", if smoke { 32 } else { 48 });
     let nested = !args.flag("no-nested");
     let pmcheck = args.flag("pmcheck");
-    let crash_in_epoch = args.flag("crash-in-epoch");
     let keys_per_node = args.usize("keys-per-node", 8);
     let structures = args.list("structures", "upskiplist,pmalloc,pmalloc-mag,pmwcas,pmemtx");
 
-    let cfg = SweepConfig {
+    let mut cfg = SweepConfig {
         points,
         seeds: (1..=num_seeds).collect(),
         plans: standard_plans(residue_seeds),
         nested,
         ops,
         pmcheck,
+        epoch: false,
     };
     println!(
         "crash_sweep: {} structures x {} points x {} seeds x {} policies \
@@ -67,14 +65,11 @@ fn main() {
         if pmcheck { "track" } else { "off" }
     );
 
+    let skiplist = |seed| SkipListSubject::with_node_size(seed, ops, keys_per_node);
     let mut outcomes: Vec<SweepOutcome> = Vec::new();
     for s in &structures {
-        let out = match s.as_str() {
-            "upskiplist" => sweep(
-                "upskiplist",
-                &|seed| SkipListSubject::with_node_size(seed, ops, keys_per_node),
-                &cfg,
-            ),
+        outcomes.push(match s.as_str() {
+            "upskiplist" => sweep("upskiplist", &skiplist, &cfg),
             // One-block leases: the thesis's per-pop protocol.
             "pmalloc" => sweep("pmalloc", &|seed| AllocSubject::new(seed, ops), &cfg),
             // 8-block leases: crash points land inside lease acquisition,
@@ -90,87 +85,55 @@ fn main() {
                 eprintln!("unknown structure: {other}");
                 std::process::exit(2);
             }
-        };
-        let purges = match out.name {
-            "upskiplist" => format!("  {:>4} node purges", out.purges),
-            "pmalloc" | "pmalloc-mag" => format!("  {:>4} leases", out.leases),
-            _ => String::new(),
-        };
-        if pmcheck {
-            println!(
-                "  {:<12} {:>5} states  {:>3} failures  {:>4} pmcheck advisories{purges}",
-                out.name,
-                out.states,
-                out.failures.len(),
-                out.advisories
-            );
-        } else {
-            println!(
-                "  {:<12} {:>5} states  {:>3} failures{purges}",
-                out.name,
-                out.states,
-                out.failures.len()
-            );
-        }
-        outcomes.push(out);
+        });
     }
-
-    if crash_in_epoch {
+    if args.flag("crash-in-epoch") {
         // Epoch-boundary states: the victim op dies mid-prepare (PreSweep)
         // or with its node durable but unpublished (PostSweep); recovery
         // must show no trace of it and still serve allocations.
-        let out = sweep_epoch_points(&cfg, keys_per_node);
-        println!(
-            "  {:<12} {:>5} states  {:>3} failures  ({} fired an epoch point, {} node purges)",
-            out.name,
-            out.states,
-            out.failures.len(),
-            out.fired,
-            out.purges
-        );
-        if out.fired == 0 {
-            eprintln!("crash_sweep: --crash-in-epoch never fired — grid too sparse");
-            std::process::exit(1);
-        }
-        outcomes.push(out);
+        cfg.epoch = true;
+        outcomes.push(sweep("upskiplist-epoch", &skiplist, &cfg));
     }
 
+    let advisories = |n| {
+        let shown = pmcheck.then(|| format!(", {n} pmcheck advisories"));
+        shown.unwrap_or_default()
+    };
+    let mut failed = false;
+    for o in &outcomes {
+        let counted = (o.coverage).map_or(String::new(), |(counter, n)| format!(", {n} {counter}"));
+        println!(
+            "  {:<16} {:>5} states, {:>3} failures, {:>5} fired{}{counted}",
+            o.name,
+            o.states,
+            o.failures.len(),
+            o.fired,
+            advisories(o.advisories)
+        );
+        failed |= !o.failures.is_empty() || o.fired == 0 || o.coverage.is_some_and(|c| c.1 == 0);
+    }
     let states: u64 = outcomes.iter().map(|o| o.states).sum();
     let failures: usize = outcomes.iter().map(|o| o.failures.len()).sum();
-    if pmcheck {
-        let advisories: u64 = outcomes.iter().map(|o| o.advisories).sum();
-        println!(
-            "crash_sweep: {states} states explored, {failures} failures, \
-             {advisories} pmcheck advisories"
-        );
-    } else {
-        println!("crash_sweep: {states} states explored, {failures} failures");
-    }
-    if failures > 0 {
-        for o in &outcomes {
-            for f in &o.failures {
-                println!("  {f}");
-            }
+    let all_advisories = advisories(outcomes.iter().map(|o| o.advisories).sum());
+    println!("crash_sweep: {states} states explored, {failures} failures{all_advisories}");
+    for o in &outcomes {
+        for f in &o.failures {
+            println!("  {f}");
         }
-        std::process::exit(1);
+        if o.fired == 0 {
+            eprintln!(
+                "crash_sweep: no {} state fired its crash — grid too sparse",
+                o.name
+            );
+        }
+        if let Some((counter, 0)) = o.coverage {
+            eprintln!(
+                "crash_sweep: {counter} stayed 0 over the {} grid — no state reached that path",
+                o.name
+            );
+        }
     }
-    if outcomes
-        .iter()
-        .any(|o| o.name == "upskiplist" && o.purges == 0)
-    {
-        eprintln!(
-            "crash_sweep: the upskiplist subject never purged a node — no crash point reached one"
-        );
-        std::process::exit(1);
-    }
-    if let Some(o) = outcomes
-        .iter()
-        .find(|o| matches!(o.name, "pmalloc" | "pmalloc-mag") && o.leases == 0)
-    {
-        eprintln!(
-            "crash_sweep: the {} subject never completed a lease — no crash point reached one",
-            o.name
-        );
+    if failed {
         std::process::exit(1);
     }
 }

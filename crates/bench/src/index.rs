@@ -332,13 +332,18 @@ pub fn build_hybridskip(d: &Deployment) -> Arc<HybridSkipList> {
     HybridSkipList::create(build_pool(d, words))
 }
 
+/// Re-open an index from its pools after a power failure.
+pub type Reopen = Box<dyn Fn(&[Arc<Pool>]) -> Arc<dyn KvIndex>>;
+
 /// A structure under test, built by name: the index the driver plays
 /// against, every pool it allocates from (per-op attribution sums their
-/// counters), and the list itself when it is an UPSkipList.
+/// counters), the list itself when it is an UPSkipList, and how to re-open
+/// it after a crash (`None` for the hybrid, whose index lives in DRAM).
 pub struct Target {
     pub index: Arc<dyn KvIndex>,
     pub pools: Vec<Arc<Pool>>,
     pub list: Option<Arc<UpSkipList>>,
+    pub reopen: Option<Reopen>,
 }
 
 impl Target {
@@ -346,26 +351,47 @@ impl Target {
     /// sized for `d`; panics on any other name. `desc_count` sizes the
     /// BzTree's PMwCAS descriptor pool, `opts` configures an UPSkipList.
     pub fn build(name: &str, d: &Deployment, desc_count: usize, opts: UpSkipListOpts) -> Target {
-        let (index, pools, list): (Arc<dyn KvIndex>, _, _) = match name {
-            "upskiplist" => {
-                let l = build_upskiplist(d, opts);
-                (l.clone(), l.space().pools().to_vec(), Some(l))
-            }
+        let (index, pool, reopen): (Arc<dyn KvIndex>, _, Option<Reopen>) = match name {
+            "upskiplist" => return build_upskiplist(d, opts).into(),
             "bztree" => {
                 let t = build_bztree(d, desc_count);
-                (t.clone(), vec![Arc::clone(t.pool())], None)
+                let open: Reopen = Box::new(|pools| BzTree::open(Arc::clone(&pools[0])).0);
+                (t.clone(), Arc::clone(t.pool()), Some(open))
             }
             "pmdkskip" => {
                 let s = build_pmdkskip(d);
-                (s.clone(), vec![Arc::clone(s.pool())], None)
+                let open: Reopen = Box::new(|pools| PmdkSkipList::open(Arc::clone(&pools[0])).0);
+                (s.clone(), Arc::clone(s.pool()), Some(open))
             }
             "hybridskip" => {
                 let h = build_hybridskip(d);
-                (h.clone(), vec![Arc::clone(h.pool())], None)
+                (h.clone(), Arc::clone(h.pool()), None)
             }
             other => panic!("unknown structure {other}"),
         };
-        Target { index, pools, list }
+        Target {
+            index,
+            pools: vec![pool],
+            list: None,
+            reopen,
+        }
+    }
+}
+
+impl From<Arc<UpSkipList>> for Target {
+    /// A list built by hand (say, by a `ListBuilder`) as a target. It
+    /// recovers in place.
+    fn from(list: Arc<UpSkipList>) -> Target {
+        let same = Arc::clone(&list);
+        Target {
+            index: list.clone(),
+            pools: list.space().pools().to_vec(),
+            list: Some(list),
+            reopen: Some(Box::new(move |_| {
+                same.recover();
+                Arc::clone(&same) as Arc<dyn KvIndex>
+            })),
+        }
     }
 }
 

@@ -1,40 +1,37 @@
-//! E12 — systematic crash-residue sweeps with crash-during-recovery.
+//! The crash harness: E12's crash-residue sweeps and Chapter 6's logged
+//! crash trials, driven by one stage sequence.
 //!
 //! The thesis's correctness argument (§6.1.2) is that every acknowledged
 //! operation survives a power failure in which each dirty cache line
-//! independently may or may not have reached PMEM. This module tests that
-//! claim *systematically* instead of at hand-picked countdowns: for each
-//! subject structure it walks a grid of
-//!
-//! ```text
-//! crash point (every k-th pmem op)  ×  workload seed  ×  residue policy
-//! ```
-//!
-//! states. Each state runs a deterministic single-threaded workload,
-//! crashes it after exactly `crash_after` pmem operations, applies the
+//! independently may or may not have reached PMEM. [`run_point`] tests
+//! that claim for one *state*: it arms a crash ([`Arm`]), runs a
+//! [`CrashSubject`]'s workload until the crash fires, applies a
 //! [`CrashPlan`] residue to every pool, *optionally crashes again in the
-//! middle of recovery* (the nested point is derived from the tuple), then
-//! recovers fully and verifies:
+//! middle of recovery*, then recovers fully and verifies:
 //!
 //! * **acked durability** — every operation that returned before the crash
-//!   is visible; the single in-flight operation may surface as either its
-//!   pre- or post-state, nothing else;
+//!   is visible; an operation in flight may surface as its pre- or
+//!   post-state, nothing else;
 //! * **structural invariants** — `check_invariants` (skip list), free-list
 //!   soundness (pmalloc), all-or-nothing target words (pmwcas), pair
 //!   atomicity (pmemtx);
 //! * **recovery idempotence** — recovery is run once more after
 //!   verification and must change nothing.
 //!
-//! A failing state prints the one-line repro tuple
-//! `(crash_after, seed, policy)` after shrinking `crash_after` with
+//! [`sweep`] walks a `(crash arm × seed × residue policy)` grid over one
+//! single-threaded subject and prints each failing state's one-line repro
+//! tuple `(crash_after, seed, policy)`, after shrinking `crash_after` with
 //! [`lincheck::minimize_crash_point`].
+//!
+//! [`KvSubject`] runs any [`KvIndex`] under T logged threads and judges it
+//! by strict linearizability (thesis §6.2); `crash_test`, the root crash
+//! tests and the `crash_analysis` example are fixed grids over it.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
-use lincheck::{minimize_crash_point, ReproTuple};
+use lincheck::{minimize_crash_point, History, OpKind, ReproTuple, ThreadLog, Ticket};
 use pmem::pool::PoolConfig;
 use pmem::{
     run_crashable, CrashController, CrashPlan, EpochCrashPoint, ObsLevel, PersistenceMode,
@@ -44,35 +41,238 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use riv::RivPtr;
 use upskiplist::{ListBuilder, ListConfig, UpSkipList};
 
-/// A structure that can be crash-swept: it owns a simulated machine (pools
-/// and controller), runs a deterministic workload that records what was
-/// acknowledged, recovers after a power failure, and self-verifies.
+use crate::index::{KvIndex, Reopen, Target};
+use crate::watchdog;
+
+/// A structure that can be crash-tested: it owns a simulated machine (its
+/// pools, which share one crash controller), runs a workload that records
+/// what was acknowledged, recovers after a power failure, and
+/// self-verifies.
 ///
 /// `workload` and `recover` are run under crash injection and may unwind
 /// with [`pmem::Crashed`]; `recover` must be idempotent — it is invoked
 /// again after nested crashes and once more after verification.
 /// `verify` runs on a quiesced, recovered machine and panics on violation.
 pub trait CrashSubject {
-    fn controller(&self) -> Arc<CrashController>;
     fn pools(&self) -> Vec<Arc<Pool>>;
     fn workload(&mut self);
     fn recover(&mut self);
     fn verify(&mut self);
-    /// Full nodes the subject reclaimed in place of a split so far (the
-    /// skip list's `list.node_purges`; 0 for every other subject).
-    fn purges(&self) -> u64 {
-        0
+    /// The registry counter that proves a grid reached the path under
+    /// test, and its value now; `None` when no counter is needed.
+    fn coverage(&self) -> Option<(&'static str, u64)> {
+        None
     }
-    /// Leases the subject's allocator completed so far (the allocator
-    /// subjects only; 0 for every other subject).
-    fn leases(&self) -> u64 {
-        0
+    /// Arm a one-shot crash at `point` of the first fresh-node insert at
+    /// or after workload op `at_op` (see [`Arm::Epoch`]).
+    fn arm_epoch(&mut self, _point: EpochCrashPoint, _at_op: u64) {
+        panic!("this subject has no flush-epoch crash points")
     }
+}
+
+/// Where a state's crash fires.
+#[derive(Debug, Clone, Copy)]
+pub enum Arm {
+    /// After this many pmem operations, machine-wide.
+    After(u64),
+    /// At a flush-epoch boundary: the next fresh-node insert at or after
+    /// workload op `at_op` dies mid-prepare (`PreSweep`: CLWBs issued,
+    /// nothing fenced) or between the coalesced sweep and the publish CAS
+    /// (`PostSweep`: the node durable but unpublished). The state may end
+    /// uncrashed when no such insert follows `at_op`.
+    Epoch { point: EpochCrashPoint, at_op: u64 },
 }
 
 // ---------------------------------------------------------------------------
 // Subjects
 // ---------------------------------------------------------------------------
+
+/// How one logged phase of a [`KvSubject`] draws its operations.
+#[derive(Debug, Clone, Copy)]
+pub enum Keys {
+    /// Random keys in `1..=keyspace`, `read_pct`% of the ops reads and the
+    /// rest upserts: small keyspaces make threads collide (thesis §6.1.1).
+    /// Thread `t` draws from a generator seeded with `seed + t`.
+    Random {
+        keyspace: u64,
+        read_pct: u32,
+        seed: u64,
+    },
+    /// Per-thread streams of fresh keys, all upserts: thread `t` of `T`
+    /// writes `b+t+1, b+t+1+T, …`, `b` above every key used so far.
+    Fresh,
+    /// Every key an earlier phase wrote, read once each, in key order.
+    ReadBack,
+}
+
+/// One logged phase: `ops` operations per thread.
+#[derive(Debug, Clone, Copy)]
+pub struct Phase {
+    pub keys: Keys,
+    pub ops: u64,
+}
+
+/// A [`KvSubject`]'s workload.
+#[derive(Debug, Clone, Copy)]
+pub struct KvWorkload {
+    pub threads: usize,
+    /// Thread `t` registers on NUMA node `t % numa_nodes`.
+    pub numa_nodes: u16,
+    /// Keys `1..=prepop` written and synced before the first crash arms.
+    pub prepop: u64,
+    /// The phase the crash interrupts.
+    pub load: Phase,
+    /// The read/write mix `verify` replays on the recovered index before
+    /// its read-back (thesis §6.1.2); `None` reads back only.
+    pub verify: Option<Phase>,
+}
+
+/// Any [`KvIndex`] under T threads, every operation logged for the
+/// strict-linearizability analyzer. A write is acked (logged as completed)
+/// only once `insert` *and* `sync` have returned: the durability ack
+/// boundary of [`KvIndex::sync`]. The subject keeps its history across
+/// [`run_point`] calls, so a grid can crash one index several times and
+/// each verdict covers every earlier round.
+pub struct KvSubject {
+    index: Arc<dyn KvIndex>,
+    pools: Vec<Arc<Pool>>,
+    list: Option<Arc<UpSkipList>>,
+    reopen: Reopen,
+    w: KvWorkload,
+    ticket: Ticket,
+    history: History,
+}
+
+impl KvSubject {
+    /// The subject over `t`; panics when `t` cannot be re-opened.
+    pub fn new(t: Target, w: KvWorkload) -> Self {
+        let name = t.index.name();
+        let mut s = Self {
+            reopen: (t.reopen).unwrap_or_else(|| panic!("{name} has no crash-recovery reopen")),
+            index: t.index,
+            pools: t.pools,
+            list: t.list,
+            w,
+            ticket: Ticket::new(),
+            history: History::default(),
+        };
+        // Logged, so the analyzer knows the initial values (§6.1.1).
+        s.phase(Keys::Fresh, w.prepop, 1);
+        s
+    }
+
+    /// Every operation logged so far, with a crash tick per recovery.
+    pub fn history(&self) -> &History {
+        &self.history
+    }
+
+    /// Run one logged phase: `ops` operations on each of `threads` threads.
+    fn phase(&mut self, keys: Keys, ops: u64, threads: usize) {
+        let (index, ticket, w, ops_so_far) =
+            (&self.index, &self.ticket, &self.w, &self.history.ops);
+        // Fresh keys start above every key used so far; log ids after
+        // every earlier thread's.
+        let base = ops_so_far.iter().map(|o| o.key).max().unwrap_or(0);
+        let first = ops_so_far.iter().map(|o| o.thread + 1).max().unwrap_or(0);
+        let mut written: Vec<u64> = (ops_so_far.iter())
+            .filter(|o| o.kind == OpKind::Write)
+            .map(|o| o.key)
+            .collect();
+        written.sort_unstable();
+        written.dedup();
+        let _running = watchdog::phase(threads);
+        let logs: Vec<ThreadLog> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let written = &written;
+                    s.spawn(move || {
+                        pmem::thread::register(t, (t % w.numa_nodes as usize) as u16);
+                        let mut log = ThreadLog::new(first + t as u32);
+                        let mut rng = StdRng::seed_from_u64(match keys {
+                            Keys::Random { seed, .. } => seed + t as u64,
+                            _ => 0,
+                        });
+                        for i in 0..ops {
+                            watchdog::tick(t);
+                            let (key, read) = match keys {
+                                Keys::Random {
+                                    keyspace, read_pct, ..
+                                } => (
+                                    rng.gen_range(1..=keyspace),
+                                    rng.gen_range(0..100) < read_pct,
+                                ),
+                                Keys::Fresh => (base + t as u64 + 1 + i * threads as u64, false),
+                                Keys::ReadBack => match written.get(i as usize) {
+                                    Some(&key) => (key, true),
+                                    None => break,
+                                },
+                            };
+                            let kind = if read { OpKind::Read } else { OpKind::Write };
+                            let value = if read { 0 } else { ticket.next() };
+                            let op = log.begin(ticket, kind, key, value);
+                            // A write is acked only once `sync` returned.
+                            let Ok(ret) = run_crashable(|| {
+                                if read {
+                                    return index.get(key);
+                                }
+                                let old = index.insert(key, value);
+                                index.sync();
+                                old
+                            }) else {
+                                break; // the op stays pending at the crash
+                            };
+                            log.finish(ticket, op, ret.unwrap_or(lincheck::EMPTY));
+                        }
+                        pmem::discard_pending();
+                        log
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for log in logs {
+            self.history.ops.extend(log.into_ops());
+        }
+    }
+}
+
+impl CrashSubject for KvSubject {
+    fn pools(&self) -> Vec<Arc<Pool>> {
+        self.pools.clone()
+    }
+
+    fn workload(&mut self) {
+        self.phase(self.w.load.keys, self.w.load.ops, self.w.threads);
+    }
+
+    fn recover(&mut self) {
+        // Every thread is stopped: ops still open stay pending at this tick.
+        self.history.crashes.push(self.ticket.next());
+        self.index = (self.reopen)(&self.pools);
+    }
+
+    /// The phase-2 mix, a read-back of every key ever written, invariants
+    /// (lists; after the mix, which must meet nodes as recovery left them),
+    /// then strict linearizability of the whole history: a lost acked
+    /// write is a read-back that misses a completed write.
+    fn verify(&mut self) {
+        if let Some(p) = self.w.verify {
+            self.phase(p.keys, p.ops, self.w.threads);
+        }
+        self.phase(Keys::ReadBack, u64::MAX, 1);
+        if let Some(list) = &self.list {
+            list.check_invariants();
+        }
+        let v = lincheck::check(&self.history);
+        assert!(
+            v.is_linearizable(),
+            "{} violations, {} inconclusive (e.g. {:?})",
+            v.violations.len(),
+            v.inconclusive_keys,
+            v.violations.first().map(|v| &v.reason)
+        );
+    }
+}
 
 /// UPSkipList under a mixed insert/remove/read workload, then a fresh-key
 /// churn phase.
@@ -90,18 +290,11 @@ pub struct SkipListSubject {
     /// The operation in flight at the crash, if any: `(key, Some(v))` for
     /// an insert of `v`, `(key, None)` for a remove.
     inflight: Option<(u64, Option<u64>)>,
-    /// `--crash-in-epoch`: arm a one-shot crash at this flush-epoch
-    /// boundary once the workload reaches op index `.1` — the crash then
-    /// fires inside the *next* fresh-node insert's prepare window.
+    /// The [`Arm::Epoch`] point and op index armed for the workload.
     epoch_crash: Option<(EpochCrashPoint, u64)>,
 }
 
 impl SkipListSubject {
-    /// The standard subject: 8 keys per node.
-    pub fn new(seed: u64, ops: u64) -> Self {
-        Self::with_node_size(seed, ops, 8)
-    }
-
     /// The subject at `keys_per_node` keys per node, its keyspace scaled
     /// along (six nodes' worth) so the workload keeps splitting nodes. At
     /// more than 32 keys per node the list carries in-node tags, and
@@ -145,22 +338,27 @@ impl SkipListSubject {
         s.list.sync();
         s
     }
-
-    /// Arm a one-shot [`EpochCrashPoint`] once the workload reaches op
-    /// index `at_op` (see [`run_epoch_point`]).
-    pub fn with_epoch_crash(mut self, point: EpochCrashPoint, at_op: u64) -> Self {
-        self.epoch_crash = Some((point, at_op));
-        self
-    }
 }
 
 impl CrashSubject for SkipListSubject {
-    fn controller(&self) -> Arc<CrashController> {
-        Arc::clone(self.list.space().pools()[0].crash_controller())
-    }
-
     fn pools(&self) -> Vec<Arc<Pool>> {
         self.list.space().pools().to_vec()
+    }
+
+    fn coverage(&self) -> Option<(&'static str, u64)> {
+        // An epoch grid's path is its boundary, which `fired` proves (its
+        // crash lands before the churn phase).
+        if self.epoch_crash.is_some() {
+            return None;
+        }
+        // Only the churn phase purges: a grid with none never crashed
+        // inside a full node reclaiming its removed keys' slots.
+        let name = "list.node_purges";
+        Some((name, self.list.registry().snapshot().counter(name)))
+    }
+
+    fn arm_epoch(&mut self, point: EpochCrashPoint, at_op: u64) {
+        self.epoch_crash = Some((point, at_op));
     }
 
     fn workload(&mut self) {
@@ -227,6 +425,11 @@ impl CrashSubject for SkipListSubject {
     }
 
     fn recover(&mut self) {
+        if self.epoch_crash.is_some() {
+            // An epoch crash dies before the publish CAS: drop the usual
+            // in-flight tolerance — the op's post-state must NOT be visible.
+            self.inflight = None;
+        }
         self.list.recover();
         // Eager recovery does real pmem work over every node — exactly
         // where nested crash points need to land.
@@ -250,10 +453,18 @@ impl CrashSubject for SkipListSubject {
                 ),
             }
         }
-    }
-
-    fn purges(&self) -> u64 {
-        self.list.registry().snapshot().counter("list.node_purges")
+        if self.epoch_crash.is_some() {
+            // Reclamation probe: a fresh insert must come out of the
+            // recovered allocator and be durably readable — a prepared but
+            // unpublished node did not wedge a lease or corrupt a free list.
+            let key = 1 + self.seed % self.keyspace;
+            let v = self.next_val;
+            self.next_val += 1;
+            self.list.insert(key, v);
+            self.list.sync();
+            self.model.insert(key, v);
+            assert_eq!(self.list.get(key), Some(v), "probe insert not visible");
+        }
     }
 }
 
@@ -304,16 +515,14 @@ impl AllocSubject {
 }
 
 impl CrashSubject for AllocSubject {
-    fn controller(&self) -> Arc<CrashController> {
-        Arc::clone(self.alloc.space().pools()[0].crash_controller())
-    }
-
     fn pools(&self) -> Vec<Arc<Pool>> {
         self.alloc.space().pools().to_vec()
     }
 
-    fn leases(&self) -> u64 {
-        self.alloc.registry().snapshot().counter("alloc.leases")
+    fn coverage(&self) -> Option<(&'static str, u64)> {
+        // A grid with no completed lease never crashed inside one.
+        let name = "alloc.leases";
+        Some((name, self.alloc.registry().snapshot().counter(name)))
     }
 
     fn workload(&mut self) {
@@ -439,10 +648,6 @@ impl PmwcasSubject {
 }
 
 impl CrashSubject for PmwcasSubject {
-    fn controller(&self) -> Arc<CrashController> {
-        Arc::clone(self.dp.pool().crash_controller())
-    }
-
     fn pools(&self) -> Vec<Arc<Pool>> {
         vec![Arc::clone(self.dp.pool())]
     }
@@ -525,10 +730,6 @@ impl TxSubject {
 }
 
 impl CrashSubject for TxSubject {
-    fn controller(&self) -> Arc<CrashController> {
-        Arc::clone(self.heap.pool().crash_controller())
-    }
-
     fn pools(&self) -> Vec<Arc<Pool>> {
         vec![Arc::clone(self.heap.pool())]
     }
@@ -584,26 +785,25 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Outcome of one stage run under crash injection.
-enum Stage {
-    Completed,
-    Crashed,
+/// Run stage `name` of a state under crash injection: `Ok(true)` when it
+/// crashed (the thread's pending flushes handed off to the unfenced
+/// registry), `Err` with the message of any other panic — a sweep records
+/// failures and moves on instead of aborting.
+fn stage(name: &str, f: impl FnOnce()) -> Result<bool, String> {
+    match std::panic::catch_unwind(AssertUnwindSafe(|| run_crashable(f))) {
+        Ok(r) => Ok(r.is_err()),
+        Err(payload) => Err(format!(
+            "{name}: {}",
+            (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic".to_string())
+        )),
+    }
 }
 
-/// Run `f` converting a `Crashed` unwind into [`Stage::Crashed`] (with the
-/// thread's pending flushes handed off to the unfenced registry) and any
-/// other panic into `Err` with its message — a sweep records failures and
-/// moves on instead of aborting.
-fn stage(f: impl FnOnce()) -> Result<Stage, String> {
-    match std::panic::catch_unwind(AssertUnwindSafe(|| run_crashable(f))) {
-        Ok(Ok(())) => Ok(Stage::Completed),
-        Ok(Err(_)) => Ok(Stage::Crashed),
-        Err(payload) => Err(payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic".to_string())),
-    }
+/// The crash controller the subject's pools share.
+fn controller<S: CrashSubject>(s: &S) -> Arc<CrashController> {
+    Arc::clone(s.pools()[0].crash_controller())
 }
 
 /// Power-fail every pool with `plan` and reset the driver thread's own
@@ -615,19 +815,22 @@ fn power_fail<S: CrashSubject>(s: &S, plan: CrashPlan) {
     pmem::discard_pending();
 }
 
-thread_local! {
-    /// Advisory pmcheck findings (PMD02/PMD03) tallied by `run_point` on
-    /// this driver thread; drained into [`SweepOutcome::advisories`].
-    static ADVISORIES: Cell<u64> = const { Cell::new(0) };
-    /// Subject purges tallied the same way; drained into
-    /// [`SweepOutcome::purges`].
-    static PURGES: Cell<u64> = const { Cell::new(0) };
-    /// Subject leases, drained into [`SweepOutcome::leases`].
-    static LEASES: Cell<u64> = const { Cell::new(0) };
+/// What one state did, for a sweep's tallies.
+#[derive(Debug)]
+pub struct State {
+    /// The armed crash fired during the workload.
+    pub fired: bool,
+    /// The subject's [`CrashSubject::coverage`] counter after the state.
+    pub coverage: Option<(&'static str, u64)>,
+    /// Advisory pmcheck findings (PMD02 redundant fences, PMD03 reads of
+    /// never-durable residue); zero with pmcheck off.
+    pub advisories: u64,
 }
 
-/// Run one sweep state to completion. Returns `Err(reason)` on any
-/// verification failure or unexpected panic.
+/// Run one state on `s`: arm `arm`, run the workload, power-fail with
+/// `plan`, crash again `nested` pmem ops into recovery if given, recover,
+/// verify, re-recover, verify. Returns `Err(reason)` on any verification
+/// failure or unexpected panic.
 ///
 /// With `pmcheck` the dynamic persist-ordering detector runs in
 /// [`PmCheckLevel::Track`] over the whole state — workload, injected
@@ -637,151 +840,84 @@ thread_local! {
 /// a violation alongside a verify failure confirms the detector caught the
 /// cause; a violation on a passing state is a latent ordering bug that the
 /// sampled residue happened not to expose. Both fail the state. Advisory
-/// findings (redundant fences, reads of never-durable residue) are only
-/// tallied.
+/// findings are only tallied.
 pub fn run_point<S: CrashSubject>(
-    mk: &dyn Fn(u64) -> S,
-    crash_after: u64,
-    seed: u64,
+    s: &mut S,
+    arm: Arm,
     plan: CrashPlan,
-    nested: bool,
+    nested: Option<u64>,
     pmcheck: bool,
-) -> Result<(), String> {
-    let mut s = mk(seed);
+) -> Result<State, String> {
     if pmcheck {
         pmem::check::reset_thread();
         for pool in s.pools() {
             pool.set_check_level(PmCheckLevel::Track);
         }
     }
-    let result = drive_point(&mut s, crash_after, seed, plan, nested);
-    PURGES.with(|p| p.set(p.get() + s.purges()));
-    LEASES.with(|l| l.set(l.get() + s.leases()));
-    if !pmcheck {
-        return result;
-    }
-    let mut violations = Vec::new();
-    let mut advisories = 0u64;
-    for pool in s.pools() {
-        for f in pool.take_check_findings() {
-            if f.rule.is_violation() {
-                violations.push(f.to_string());
-            } else {
-                advisories += 1;
-            }
-        }
-    }
-    ADVISORIES.with(|a| a.set(a.get() + advisories));
-    if violations.is_empty() {
-        return result;
-    }
-    let list = violations.join("; ");
-    Err(match result {
-        Err(e) => format!("{e} [pmcheck confirms: {list}]"),
-        Ok(()) => format!(
+    let result = drive_point(s, arm, plan, nested);
+    // Empty with the detector off.
+    let (violations, advisories): (Vec<_>, Vec<_>) = (s.pools().iter())
+        .flat_map(|pool| pool.take_check_findings())
+        .partition(|f| f.rule.is_violation());
+    let list = violations
+        .iter()
+        .map(|f| f.to_string())
+        .collect::<Vec<_>>()
+        .join("; ");
+    match result {
+        Err(e) if !violations.is_empty() => Err(format!("{e} [pmcheck confirms: {list}]")),
+        Ok(_) if !violations.is_empty() => Err(format!(
             "pmcheck: {} ordering violation(s) on a state that verified clean \
              (latent bug the sampled residue missed): {list}",
             violations.len()
-        ),
-    })
+        )),
+        r => r.map(|fired| State {
+            fired,
+            coverage: s.coverage(),
+            advisories: advisories.len() as u64,
+        }),
+    }
 }
 
+/// The stage sequence of [`run_point`]; returns whether the crash fired.
 fn drive_point<S: CrashSubject>(
     s: &mut S,
-    crash_after: u64,
-    seed: u64,
+    arm: Arm,
     plan: CrashPlan,
-    nested: bool,
-) -> Result<(), String> {
-    let ctl = s.controller();
-
-    ctl.arm_after(crash_after);
-    let first = stage(|| s.workload()).map_err(|e| format!("workload: {e}"))?;
+    nested: Option<u64>,
+) -> Result<bool, String> {
+    let ctl = controller(s);
+    match arm {
+        Arm::After(n) => ctl.arm_after(n),
+        Arm::Epoch { point, at_op } => s.arm_epoch(point, at_op),
+    }
+    let first = stage("workload", || s.workload());
+    let fired = ctl.is_crashed() || first == Ok(true);
     ctl.disarm();
+    pmem::disarm_epoch_crash();
+    first?;
     power_fail(s, plan);
 
-    if nested {
-        // Crash again *inside* recovery, at a point derived from the tuple,
-        // then power-fail with the same residue policy. Recovery must be
-        // idempotent: the retry below has to finish the job.
-        let j = 1 + mix64(seed ^ crash_after.wrapping_mul(0x9e37)) % 400;
+    if let Some(j) = nested {
+        // Crash again *inside* recovery, then power-fail with the same
+        // residue policy. Recovery must be idempotent: the retry below has
+        // to finish the job.
         ctl.arm_after(j);
-        let r = stage(|| s.recover()).map_err(|e| format!("nested recovery: {e}"))?;
+        let crashed = stage("nested recovery", || s.recover())?;
         ctl.disarm();
-        if matches!(r, Stage::Crashed) {
+        if crashed {
             power_fail(s, plan);
         }
     }
 
-    match stage(|| s.recover()).map_err(|e| format!("recovery: {e}"))? {
-        Stage::Completed => {}
-        Stage::Crashed => return Err("recovery crashed with the controller disarmed".into()),
+    if stage("recovery", || s.recover())? {
+        return Err("recovery crashed with the controller disarmed".into());
     }
-    stage(|| s.verify()).map_err(|e| format!("verify: {e}"))?;
-
+    stage("verify", || s.verify())?;
     // Recovery idempotence: recovering an already-recovered machine must
     // not disturb the verified state.
-    stage(|| s.recover()).map_err(|e| format!("re-recovery: {e}"))?;
-    stage(|| s.verify()).map_err(|e| format!("verify after re-recovery: {e}"))?;
-
-    let _ = first;
-    Ok(())
-}
-
-/// One `--crash-in-epoch` state: run the skip-list workload with a
-/// one-shot [`EpochCrashPoint`] armed at op index `arm_at` (the countdown
-/// controller stays disarmed), so the next fresh-node insert dies either
-/// mid-prepare (`PreSweep`: CLWBs issued, *nothing* durable by fence) or
-/// between the coalesced sweep and the publish CAS (`PostSweep`: the
-/// prepared node durable but unpublished). Either way the crash lands
-/// before the publish, so recovery must surface no trace of the op:
-/// every key reads exactly its acked value — the prepared node is
-/// unreachable — invariants hold, and a post-recovery probe insert proves
-/// the allocator reclaimed the prepared node's lease and still serves.
-/// Returns whether the armed point actually fired (`false` when no
-/// fresh-node insert followed `arm_at`).
-pub fn run_epoch_point(
-    seed: u64,
-    ops: u64,
-    keys_per_node: usize,
-    arm_at: u64,
-    point: EpochCrashPoint,
-    plan: CrashPlan,
-) -> Result<bool, String> {
-    let mut s =
-        SkipListSubject::with_node_size(seed, ops, keys_per_node).with_epoch_crash(point, arm_at);
-    let first = stage(|| s.workload()).map_err(|e| format!("workload: {e}"))?;
-    pmem::disarm_epoch_crash();
-    let fired = matches!(first, Stage::Crashed);
-    power_fail(&s, plan);
-
-    // The crash (when it fired) died before the publish CAS: drop the
-    // usual in-flight tolerance — the op's post-state must NOT be visible.
-    s.inflight = None;
-
-    match stage(|| s.recover()).map_err(|e| format!("recovery: {e}"))? {
-        Stage::Completed => {}
-        Stage::Crashed => return Err("recovery crashed with nothing armed".into()),
-    }
-    stage(|| s.verify()).map_err(|e| format!("verify: {e}"))?;
-
-    // Reclamation probe: a fresh insert must come out of the recovered
-    // allocator and be durably readable — the prepared-but-unpublished
-    // node did not wedge a lease or corrupt a free list.
-    stage(|| {
-        let key = 1 + seed % s.keyspace;
-        let v = s.next_val;
-        s.next_val += 1;
-        s.list.insert(key, v);
-        s.list.sync();
-        s.model.insert(key, v);
-        assert_eq!(s.list.get(key), Some(v), "probe insert not visible");
-    })
-    .map_err(|e| format!("post-recovery probe: {e}"))?;
-
-    stage(|| s.recover()).map_err(|e| format!("re-recovery: {e}"))?;
-    stage(|| s.verify()).map_err(|e| format!("verify after re-recovery: {e}"))?;
-    PURGES.with(|p| p.set(p.get() + s.purges()));
+    stage("re-recovery", || s.recover())?;
+    stage("verify after re-recovery", || s.verify())?;
     Ok(fired)
 }
 
@@ -790,7 +926,7 @@ pub fn run_epoch_point(
 pub fn calibrate<S: CrashSubject>(mk: &dyn Fn(u64) -> S, seed: u64) -> u64 {
     const BIG: u64 = 1 << 40;
     let mut s = mk(seed);
-    let ctl = s.controller();
+    let ctl = controller(&s);
     ctl.arm_after(BIG);
     s.workload();
     let left = ctl
@@ -801,8 +937,9 @@ pub fn calibrate<S: CrashSubject>(mk: &dyn Fn(u64) -> S, seed: u64) -> u64 {
     BIG - left
 }
 
-/// Sweep configuration: crash points are spread evenly over the measured
-/// workload length, per seed.
+/// Sweep configuration: `points` crash arms per seed, each under every
+/// residue plan.
+#[derive(Debug, Clone)]
 pub struct SweepConfig {
     pub points: usize,
     pub seeds: Vec<u64>,
@@ -814,33 +951,32 @@ pub struct SweepConfig {
     /// over every state; PMD01 violations fail the state, advisories are
     /// tallied into [`SweepOutcome::advisories`].
     pub pmcheck: bool,
+    /// Arm at flush-epoch boundaries instead of pmem-op countdowns: each
+    /// of `points` op positions (`0, ops/(points+1), …`) under both
+    /// [`EpochCrashPoint`]s (skip-list subject only).
+    pub epoch: bool,
 }
 
 /// Result of sweeping one subject.
+#[derive(Default)]
 pub struct SweepOutcome {
     pub name: &'static str,
-    /// Distinct (crash-point × seed × policy) states explored.
+    /// Distinct (crash arm × seed × policy) states explored.
     pub states: u64,
-    /// States whose armed crash actually fired. Equals `states` for
-    /// countdown sweeps (crash points are calibrated inside the workload);
-    /// for epoch-boundary sweeps a state can arm past the last fresh-node
-    /// insert and complete uncrashed.
+    /// States whose armed crash actually fired. Countdown arms are
+    /// calibrated inside the workload; an epoch arm can land after the
+    /// last fresh-node insert and complete uncrashed.
     pub fired: u64,
-    /// One repro line per failing state (already minimized).
+    /// One repro line per failing state (countdowns already minimized).
     pub failures: Vec<String>,
-    /// Advisory pmcheck findings (PMD02 redundant fences, PMD03 reads of
-    /// never-durable residue) across all states; zero with pmcheck off.
+    /// Advisory pmcheck findings across all states.
     pub advisories: u64,
-    /// Node purges the subject ran across all states (skip list only): a
-    /// sweep with none never crashed inside one.
-    pub purges: u64,
-    /// Leases the subject completed across all states (allocator subjects
-    /// only): a sweep with none never crashed inside the lease path.
-    pub leases: u64,
+    /// The subject's coverage counter, summed over the passing states.
+    pub coverage: Option<(&'static str, u64)>,
 }
 
-/// Walk the full grid for one subject; failing states are minimized and
-/// reported as `(crash_after, seed, policy)` repro tuples.
+/// Walk the full grid for one subject; failing states are reported as
+/// repro tuples.
 pub fn sweep<S: CrashSubject>(
     name: &'static str,
     mk: &dyn Fn(u64) -> S,
@@ -848,90 +984,71 @@ pub fn sweep<S: CrashSubject>(
 ) -> SweepOutcome {
     let mut out = SweepOutcome {
         name,
-        states: 0,
-        fired: 0,
-        failures: Vec::new(),
-        advisories: 0,
-        purges: 0,
-        leases: 0,
+        ..Default::default()
     };
-    ADVISORIES.with(|a| a.set(0));
-    PURGES.with(|p| p.set(0));
-    LEASES.with(|l| l.set(0));
+    let run = |seed: u64, arm: Arm, plan: CrashPlan| {
+        let at = match arm {
+            Arm::After(n) | Arm::Epoch { at_op: n, .. } => n,
+        };
+        let nested = cfg
+            .nested
+            .then(|| 1 + mix64(seed ^ at.wrapping_mul(0x9e37)) % 400);
+        run_point(&mut mk(seed), arm, plan, nested, cfg.pmcheck)
+    };
     for &seed in &cfg.seeds {
-        let total = calibrate(mk, seed);
-        let step = (total / (cfg.points as u64 + 1)).max(1);
-        for i in 1..=cfg.points as u64 {
-            let crash_after = step * i;
+        let points = cfg.points as u64;
+        let arms: Vec<Arm> = if cfg.epoch {
+            // Position 0 crashes the workload's first fresh-node insert.
+            let step = (cfg.ops / (points + 1)).max(1);
+            let at = |i, point| Arm::Epoch {
+                point,
+                at_op: step * i,
+            };
+            let both = |i| {
+                [
+                    at(i, EpochCrashPoint::PreSweep),
+                    at(i, EpochCrashPoint::PostSweep),
+                ]
+            };
+            (0..points).flat_map(both).collect()
+        } else {
+            let step = (calibrate(mk, seed) / (points + 1)).max(1);
+            (1..=points).map(|i| Arm::After(step * i)).collect()
+        };
+        for arm in arms {
             for &plan in &cfg.plans {
                 out.states += 1;
-                if let Err(msg) = run_point(mk, crash_after, seed, plan, cfg.nested, cfg.pmcheck) {
-                    let min = minimize_crash_point(
-                        |k| run_point(mk, k, seed, plan, cfg.nested, cfg.pmcheck).is_err(),
-                        crash_after,
-                    );
-                    let repro = ReproTuple {
-                        crash_after: min,
-                        seed,
-                        policy: plan,
-                    };
-                    let line = format!("{name}: FAIL {repro}: {msg}");
-                    eprintln!("{line}");
-                    out.failures.push(line);
-                }
-            }
-        }
-    }
-    out.advisories = ADVISORIES.with(|a| a.take());
-    out.purges = PURGES.with(|p| p.take());
-    out.leases = LEASES.with(|l| l.take());
-    out.fired = out.states;
-    out
-}
-
-/// Walk the `--crash-in-epoch` grid for the skip-list subject:
-/// arm-op position × seed × residue policy × {`PreSweep`, `PostSweep`}.
-/// Fresh-node inserts are a fraction of the mixed workload, so a state
-/// whose arm point lands after the last one simply completes — the
-/// outcome's `fired` counts how many states actually crashed at an epoch
-/// boundary (callers asserting coverage should check it is non-zero).
-pub fn sweep_epoch_points(cfg: &SweepConfig, keys_per_node: usize) -> SweepOutcome {
-    let mut out = SweepOutcome {
-        name: "upskiplist-epoch",
-        states: 0,
-        fired: 0,
-        failures: Vec::new(),
-        advisories: 0,
-        purges: 0,
-        leases: 0,
-    };
-    PURGES.with(|p| p.set(0));
-    let step = (cfg.ops / (cfg.points as u64 + 1)).max(1);
-    for &seed in &cfg.seeds {
-        for i in 0..cfg.points as u64 {
-            // Include 0 so one position crashes the first fresh-node
-            // insert of the workload.
-            let arm_at = step * i;
-            for point in [EpochCrashPoint::PreSweep, EpochCrashPoint::PostSweep] {
-                for &plan in &cfg.plans {
-                    out.states += 1;
-                    match run_epoch_point(seed, cfg.ops, keys_per_node, arm_at, point, plan) {
-                        Ok(true) => out.fired += 1,
-                        Ok(false) => {}
-                        Err(msg) => {
-                            let line = format!(
-                                "upskiplist-epoch: FAIL (arm_at={arm_at}, seed={seed}, \
-                                 point={point:?}, policy={plan:?}): {msg}"
-                            );
-                            eprintln!("{line}");
-                            out.failures.push(line);
+                match run(seed, arm, plan) {
+                    Ok(st) => {
+                        out.fired += st.fired as u64;
+                        out.advisories += st.advisories;
+                        if let Some((counter, n)) = st.coverage {
+                            out.coverage.get_or_insert((counter, 0)).1 += n;
                         }
+                    }
+                    Err(msg) => {
+                        let at = match arm {
+                            Arm::After(n) => ReproTuple {
+                                crash_after: minimize_crash_point(
+                                    |k| run(seed, Arm::After(k), plan).is_err(),
+                                    n,
+                                ),
+                                seed,
+                                policy: plan,
+                            }
+                            .to_string(),
+                            Arm::Epoch { point, at_op } => format!(
+                                "(arm_at={at_op}, seed={seed}, point={point:?}, policy={plan:?})"
+                            ),
+                        };
+                        let line = format!("{name}: FAIL {at}: {msg}");
+                        eprintln!("{line}");
+                        out.failures.push(line);
                     }
                 }
             }
         }
     }
-    out.purges = PURGES.with(|p| p.take());
     out
 }
 
@@ -961,7 +1078,12 @@ mod tests {
             nested: true,
             ops: 24,
             pmcheck: false,
+            epoch: false,
         }
+    }
+
+    fn counted(out: &SweepOutcome) -> u64 {
+        out.coverage.map_or(0, |(_, n)| n)
     }
 
     #[test]
@@ -969,10 +1091,14 @@ mod tests {
         pmem::crash::silence_crash_panics();
         let cfg = quick();
         let ops = cfg.ops;
-        let out = sweep("upskiplist", &|seed| SkipListSubject::new(seed, ops), &cfg);
+        let out = sweep(
+            "upskiplist",
+            &|seed| SkipListSubject::with_node_size(seed, ops, 8),
+            &cfg,
+        );
         assert_eq!(out.states, 12);
         assert!(out.failures.is_empty(), "{:?}", out.failures);
-        assert!(out.purges > 0, "the churn phase never purged a node");
+        assert!(counted(&out) > 0, "the churn phase never purged a node");
     }
 
     /// `--crash-in-epoch` smoke: both epoch boundaries, every residue
@@ -981,8 +1107,16 @@ mod tests {
     #[test]
     fn skiplist_epoch_crash_sweep_smoke() {
         pmem::crash::silence_crash_panics();
-        let cfg = quick();
-        let out = sweep_epoch_points(&cfg, 8);
+        let cfg = SweepConfig {
+            epoch: true,
+            ..quick()
+        };
+        let ops = cfg.ops;
+        let out = sweep(
+            "upskiplist-epoch",
+            &|seed| SkipListSubject::with_node_size(seed, ops, 8),
+            &cfg,
+        );
         assert_eq!(out.states, 24); // 3 arm points × 2 boundaries × 4 plans
         assert!(out.fired > 0, "no epoch crash point ever fired");
         assert!(out.failures.is_empty(), "{:?}", out.failures);
@@ -995,7 +1129,7 @@ mod tests {
         let ops = cfg.ops;
         let out = sweep("pmalloc", &|seed| AllocSubject::new(seed, ops), &cfg);
         assert!(out.failures.is_empty(), "{:?}", out.failures);
-        assert!(out.leases > 0, "no state completed a lease");
+        assert!(counted(&out) > 0, "no state completed a lease");
     }
 
     #[test]
@@ -1009,7 +1143,7 @@ mod tests {
             &cfg,
         );
         assert!(out.failures.is_empty(), "{:?}", out.failures);
-        assert!(out.leases > 0, "no state completed a lease");
+        assert!(counted(&out) > 0, "no state completed a lease");
     }
 
     #[test]
@@ -1038,7 +1172,11 @@ mod tests {
         cfg.pmcheck = true;
         let ops = cfg.ops;
         let outs = [
-            sweep("upskiplist", &|seed| SkipListSubject::new(seed, ops), &cfg),
+            sweep(
+                "upskiplist",
+                &|seed| SkipListSubject::with_node_size(seed, ops, 8),
+                &cfg,
+            ),
             sweep("pmalloc", &|seed| AllocSubject::new(seed, ops), &cfg),
             sweep(
                 "pmalloc-mag",
@@ -1056,5 +1194,79 @@ mod tests {
                 out.failures
             );
         }
+    }
+
+    /// Writes each key's value to word `key` of a tracked pool with no
+    /// flush, and its `sync` does nothing: every ack rests on lines that
+    /// only the cache holds.
+    struct Unflushed(Arc<Pool>);
+
+    impl KvIndex for Unflushed {
+        fn name(&self) -> &'static str {
+            "unflushed"
+        }
+        fn insert(&self, key: u64, value: u64) -> Option<u64> {
+            let old = self.get(key);
+            self.0.write(key, value);
+            old
+        }
+        fn get(&self, key: u64) -> Option<u64> {
+            Some(self.0.read(key)).filter(|&v| v != 0)
+        }
+        fn remove(&self, key: u64) -> Option<u64> {
+            let old = self.get(key);
+            self.0.write(key, 0);
+            old
+        }
+        fn scan(&self, _from: u64, _limit: usize) -> Option<usize> {
+            None
+        }
+    }
+
+    /// The read-back verdict must catch a lost acked write on its own: on
+    /// one thread the run is deterministic, `DropAll` sheds every acked
+    /// value and `KeepAll` keeps them all.
+    #[test]
+    fn read_back_catches_acks_that_rest_on_unflushed_lines() {
+        pmem::crash::silence_crash_panics();
+        let run = |plan| {
+            let pool = Pool::new(
+                PoolConfig::tracked(1 << 10),
+                Arc::new(CrashController::new()),
+            );
+            let index: Arc<dyn KvIndex> = Arc::new(Unflushed(Arc::clone(&pool)));
+            let same = Arc::clone(&index);
+            let w = KvWorkload {
+                threads: 1,
+                numa_nodes: 1,
+                prepop: 0,
+                load: Phase {
+                    keys: Keys::Random {
+                        keyspace: 64,
+                        read_pct: 20,
+                        seed: 3,
+                    },
+                    ops: 200,
+                },
+                verify: None,
+            };
+            let t = Target {
+                index,
+                pools: vec![pool],
+                list: None,
+                reopen: Some(Box::new(move |_| Arc::clone(&same))),
+            };
+            run_point(
+                &mut KvSubject::new(t, w),
+                Arm::After(300),
+                plan,
+                None,
+                false,
+            )
+        };
+        let lost = run(CrashPlan::DropAll).expect_err("DropAll must shed the unflushed acks");
+        assert!(lost.contains("violations"), "{lost}");
+        let kept = run(CrashPlan::KeepAll).expect("KeepAll keeps every write");
+        assert!(kept.fired, "the crash must cut the workload");
     }
 }
