@@ -1,8 +1,6 @@
 //! Mutating operations (Functions 13–20, §4.5–4.6) and the public API.
 #![allow(clippy::needless_range_loop)] // level loops mirror the thesis pseudocode
 
-use std::collections::HashSet;
-
 use riv::RivPtr;
 
 use crate::config::{KEY_NULL, MAX_HEIGHT, MAX_USER_KEY, MIN_USER_KEY, TOMBSTONE};
@@ -45,15 +43,7 @@ impl UpSkipList {
             let t = self.traverse(key, Descent::Write);
             if t.found() {
                 let node = t.landing();
-                if !self.ensure_current_epoch(node) {
-                    continue; // another thread is repairing the node
-                }
-                if !rwlock::try_read_lock(self.space(), node) {
-                    self.stats.lock_wait();
-                    continue;
-                }
-                if self.split_count(node) != t.split_count {
-                    rwlock::read_unlock(self.space(), node);
+                if !self.read_lock_unsplit(node, t.split_count) {
                     continue;
                 }
                 let old = self.update(node, t.key_index, value);
@@ -121,15 +111,7 @@ impl UpSkipList {
                 return None;
             }
             let node = t.landing();
-            if !self.ensure_current_epoch(node) {
-                continue;
-            }
-            if !rwlock::try_read_lock(self.space(), node) {
-                self.stats.lock_wait();
-                continue;
-            }
-            if self.split_count(node) != t.split_count {
-                rwlock::read_unlock(self.space(), node);
+            if !self.read_lock_unsplit(node, t.split_count) {
                 continue;
             }
             let old = self.update(node, t.key_index, TOMBSTONE);
@@ -176,6 +158,25 @@ impl UpSkipList {
             node = self.next(node, 0);
         }
         n
+    }
+
+    /// Claim `node` if it is stale, read-lock it, and keep the lock only
+    /// if no split has run since the traversal read `split_count` (Function
+    /// 16 lines 199–203). False, holding nothing, when the caller must
+    /// restart.
+    fn read_lock_unsplit(&self, node: RivPtr, split_count: u64) -> bool {
+        if !self.ensure_current_epoch(node) {
+            return false; // another thread is repairing the node
+        }
+        if !rwlock::try_read_lock(self.space(), node) {
+            self.stats.lock_wait();
+            return false;
+        }
+        if self.split_count(node) != split_count {
+            rwlock::read_unlock(self.space(), node);
+            return false;
+        }
+        true
     }
 
     /// Function 14: total-order value update via CAS; the persist of the
@@ -261,15 +262,7 @@ impl UpSkipList {
         expected_split_count: u64,
     ) -> InsertStatus {
         let node = preds[0];
-        if !self.ensure_current_epoch(node) {
-            return InsertStatus::Restart;
-        }
-        if !rwlock::try_read_lock(self.space(), node) {
-            self.stats.lock_wait();
-            return InsertStatus::Restart;
-        }
-        if self.split_count(node) != expected_split_count {
-            rwlock::read_unlock(self.space(), node);
+        if !self.read_lock_unsplit(node, expected_split_count) {
             return InsertStatus::Restart;
         }
         let kpn = self.cfg.keys_per_node;
@@ -481,11 +474,27 @@ impl UpSkipList {
         self.space().fetch_add(node.add(N_SPLIT_COUNT as u32), 1);
         self.space().persist(node.add(N_SPLIT_COUNT as u32), 1);
         self.stats.node_split();
-        // Erase the moved pairs from the old node (lines 265–267).
-        let moved_keys: HashSet<u64> = moved.iter().map(|&(k, _)| k).collect();
+        // Erase the moved pairs from the old node (lines 265–267): the
+        // pairs are sorted, so they are exactly the keys from `moved[0]` on.
+        self.erase_from(node, moved[0].0);
+        rwlock::write_unlock(self.space(), node);
+        // Image the new node's level-0 link (mirrored on tagged lists only),
+        // outside the lock, then build its tower (lines 269–270).
+        self.shadow_publish(0, block, moved[0].0);
+        self.complete_tower(block);
+    }
+
+    /// The split's erasure, shared by a live split and recovery's finish
+    /// of a crashed one (Function 11): empty every slot of the write-locked
+    /// `node` whose key is at or above `bound`, then persist the node. A
+    /// slot whose key is already NULL gets its value reset as well — a
+    /// crash mid-erasure can keep the NULL key and lose the tombstone, and
+    /// a later claim of the slot would report that value as the key's
+    /// previous one.
+    pub(crate) fn erase_from(&self, node: RivPtr, bound: u64) {
         for i in 0..self.cfg.keys_per_node {
             let k = self.key_at(node, i);
-            if k != KEY_NULL && moved_keys.contains(&k) {
+            if k == KEY_NULL || k >= bound {
                 self.space()
                     .write(node.add(key_off(&self.cfg, i) as u32), KEY_NULL);
                 self.space()
@@ -493,11 +502,6 @@ impl UpSkipList {
             }
         }
         self.space().persist(node, node_words(&self.cfg));
-        rwlock::write_unlock(self.space(), node);
-        // Image the new node's level-0 link (mirrored on tagged lists only),
-        // outside the lock, then build its tower (lines 269–270).
-        self.shadow_publish(0, block, moved[0].0);
-        self.complete_tower(block);
     }
 
     /// Give a full node its removed keys' slots back instead of splitting

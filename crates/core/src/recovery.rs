@@ -1,12 +1,17 @@
 //! Runtime recovery checks (Functions 10–12, §4.1.3, §4.4.1).
 //!
 //! Every node records the failure-free epoch in which it was created or
-//! last verified. A traversal that encounters a node from an older epoch
-//! knows no live thread is responsible for it; it claims the node by
-//! CASing the epoch forward (so exactly one thread repairs it) and then
-//! completes whatever the dead thread left unfinished: an interrupted node
-//! split (detected by a stale write lock) or an interrupted tower build
-//! (detected by the node being invisible at a level its height demands).
+//! last verified. A thread that meets a node from an older epoch knows no
+//! live thread is responsible for it. All three paths that meet one — a
+//! traversal's hop (Function 10), an operation about to lock the node
+//! (`ensure_current_epoch`) and the eager pass — take it through one
+//! claim: read the node's epoch, then its lock word, drain the dead
+//! epoch's readers, and CAS the epoch forward, so exactly one thread
+//! repairs the node. If the word read before that CAS held the write bit,
+//! the dead epoch was mid-split, and the claimant finishes the split with
+//! the live split's own erasure (Function 11). The traversal's hop then
+//! finishes an interrupted tower build (Function 12), and the eager pass
+//! rebuilds every tower.
 //!
 //! To avoid a post-crash throughput collapse, searches repair at most one
 //! incomplete *insert* per traversal; incomplete *splits* are always
@@ -17,8 +22,7 @@ use std::cell::Cell;
 
 use riv::RivPtr;
 
-use crate::config::{KEY_NULL, TOMBSTONE};
-use crate::layout::{key_off, node_words, val_off, N_EPOCH};
+use crate::layout::{N_EPOCH, N_LOCK};
 use crate::list::UpSkipList;
 use crate::rwlock;
 use crate::traverse::Descent;
@@ -33,6 +37,50 @@ thread_local! {
 const MAX_RECOVERY_DEPTH: u32 = 2;
 
 impl UpSkipList {
+    /// The node's epoch and lock word, read in that order, when the node
+    /// is from a dead epoch; `None` when it is current. The order matters:
+    /// a live thread locks only a current node, so a lock word read after
+    /// a stale epoch is the dead epoch's unless the epoch has since moved,
+    /// and then [`UpSkipList::claim`]'s CAS fails.
+    fn stale_words(&self, node: RivPtr) -> Option<(u64, u64)> {
+        let node_epoch = self.node_epoch(node);
+        (node_epoch != self.epoch()).then(|| (node_epoch, rwlock::load(self.space(), node)))
+    }
+
+    /// Claim a node read stale as `(node_epoch, lock)` by
+    /// [`UpSkipList::stale_words`], and finish the split the dead epoch
+    /// left on it (Functions 10–11). Returns false when another thread
+    /// claimed it first; that thread repairs it.
+    ///
+    /// Whether a split is finished is decided from `lock`, the word read
+    /// *before* the CAS. Once the CAS lands the node is current, and a live
+    /// splitter may lock it at once; a fresh load would take that lock for
+    /// the dead epoch's, erase under the splitter and release its lock.
+    fn claim(&self, node: RivPtr, (node_epoch, lock): (u64, u64)) -> bool {
+        // Drain before the CAS, so the dead epoch's reader count never
+        // becomes visible as live state.
+        rwlock::drain_readers(self.space(), node, lock);
+        let epoch_word = node.add(N_EPOCH as u32);
+        if self
+            .space()
+            .cas(epoch_word, node_epoch, self.epoch())
+            .is_err()
+        {
+            return false;
+        }
+        self.space().persist(epoch_word, 1);
+        if rwlock::is_write_locked(lock) {
+            // The contents are frozen under the stale lock. Whatever the
+            // crash kept of the split, every key at or above the
+            // successor's first key has moved on (into the new node, or
+            // past it if that node split too), and the rest stayed.
+            self.erase_from(node, self.key0(self.next(node, 0)));
+            rwlock::write_unlock(self.space(), node);
+            self.space().persist(node.add(N_LOCK as u32), 1);
+        }
+        true
+    }
+
     /// Function 10. Returns true when this thread performed a recovery (the
     /// caller restarts its traversal).
     pub(crate) fn check_for_recovery(
@@ -43,70 +91,16 @@ impl UpSkipList {
         succs: &[RivPtr],
         recoveries_done: u32,
     ) -> bool {
-        let node_epoch = self.node_epoch(cur);
-        let epoch = self.epoch();
-        if node_epoch == epoch {
+        let Some(words) = self.stale_words(cur) else {
+            return false;
+        };
+        // Past the first repair of this traversal, only a stale lock word
+        // (a split to finish, readers to drain) is claimed at once.
+        if (recoveries_done > 0 && words.1 == 0) || !self.claim(cur, words) {
             return false;
         }
-        let lock_observed = rwlock::load(self.space(), cur);
-        let recovery_needed = lock_observed != 0;
-        if recoveries_done == 0 || recovery_needed {
-            // Reset stale lock state before making the node current, so the
-            // dead epoch's reader count never becomes visible as live state.
-            rwlock::drain_readers(self.space(), cur, lock_observed);
-            if self
-                .space()
-                .cas(cur.add(N_EPOCH as u32), node_epoch, epoch)
-                .is_err()
-            {
-                // Another thread claimed the node and will repair it; treat
-                // it like any concurrent in-progress operation.
-                return false;
-            }
-            self.space().persist(cur.add(N_EPOCH as u32), 1);
-            self.check_node_split_recovery(cur);
-            self.check_insert_recovery(level, cur, preds, succs);
-            return true;
-        }
-        false
-    }
-
-    /// Function 11: complete an interrupted node split. The node is claimed
-    /// and its write lock is stale, so its contents are frozen; every key
-    /// that was copied into the (possibly linked) successor is erased here,
-    /// then the lock is released.
-    pub(crate) fn check_node_split_recovery(&self, cur: RivPtr) {
-        if !rwlock::is_write_locked(rwlock::load(self.space(), cur)) {
-            return;
-        }
-        let k = self.cfg.keys_per_node;
-        let succ = self.next(cur, 0);
-        let succ_keys: Vec<u64> = if succ == self.tail {
-            Vec::new()
-        } else {
-            let mut keys = vec![0u64; k];
-            self.space()
-                .read_slice(succ.add(key_off(&self.cfg, 0) as u32), &mut keys);
-            keys
-        };
-        for i in 0..k {
-            let key = self.key_at(cur, i);
-            if key == KEY_NULL {
-                // A crash can leave a cleared key with its old value; make
-                // the slot fully empty.
-                self.space()
-                    .write(cur.add(val_off(&self.cfg, i) as u32), TOMBSTONE);
-            } else if key != KEY_NULL && succ_keys.contains(&key) {
-                self.space()
-                    .write(cur.add(key_off(&self.cfg, i) as u32), KEY_NULL);
-                self.space()
-                    .write(cur.add(val_off(&self.cfg, i) as u32), TOMBSTONE);
-            }
-        }
-        self.space().persist(cur, node_words(&self.cfg));
-        rwlock::write_unlock(self.space(), cur);
-        self.space()
-            .persist(cur.add(crate::layout::N_LOCK as u32), 1);
+        self.check_insert_recovery(level, cur, preds, succs);
+        true
     }
 
     /// Function 12: if the claimed node is missing from a level its height
@@ -168,23 +162,7 @@ impl UpSkipList {
     /// own DrainReaders find, §6.3). Returns false when another thread won
     /// the claim; the caller restarts and sees the repaired node.
     pub(crate) fn ensure_current_epoch(&self, node: RivPtr) -> bool {
-        let node_epoch = self.node_epoch(node);
-        let epoch = self.epoch();
-        if node_epoch == epoch {
-            return true;
-        }
-        let lock_observed = rwlock::load(self.space(), node);
-        rwlock::drain_readers(self.space(), node, lock_observed);
-        if self
-            .space()
-            .cas(node.add(N_EPOCH as u32), node_epoch, epoch)
-            .is_err()
-        {
-            return false;
-        }
-        self.space().persist(node.add(N_EPOCH as u32), 1);
-        self.check_node_split_recovery(node);
-        true
+        self.stale_words(node).is_none_or(|w| self.claim(node, w))
     }
 
     /// Eager post-crash recovery: claim and repair **every** node right
@@ -194,35 +172,21 @@ impl UpSkipList {
     /// deployments that prefer a longer restart over a slower first pass.
     /// Call after [`crate::UpSkipList::recover`]; single-threaded use.
     pub fn recover_eagerly(&self) -> usize {
-        let epoch = self.epoch();
         let mut repaired = 0;
         let mut cur = self.next(self.head, 0);
-        while cur != self.tail {
-            if self.node_epoch(cur) != epoch {
-                let lock_observed = rwlock::load(self.space(), cur);
-                rwlock::drain_readers(self.space(), cur, lock_observed);
-                if self
-                    .space()
-                    .cas(cur.add(N_EPOCH as u32), self.node_epoch(cur), epoch)
-                    .is_ok()
-                {
-                    self.space().persist(cur.add(N_EPOCH as u32), 1);
-                    self.check_node_split_recovery(cur);
-                    self.complete_tower(cur);
-                    repaired += 1;
-                }
+        loop {
+            let claimed = self.stale_words(cur).is_some_and(|w| self.claim(cur, w));
+            // The tail sentinel is claimed too, so traversals never pay a
+            // claim.
+            if cur == self.tail {
+                return repaired;
+            }
+            if claimed {
+                self.complete_tower(cur);
+                repaired += 1;
             }
             cur = self.next(cur, 0);
         }
-        // The tail sentinel too, so traversals never pay a claim.
-        let tail_epoch = self.node_epoch(self.tail);
-        if tail_epoch != epoch {
-            let _ = self
-                .space()
-                .cas(self.tail.add(N_EPOCH as u32), tail_epoch, epoch);
-            self.space().persist(self.tail.add(N_EPOCH as u32), 1);
-        }
-        repaired
     }
 
     /// Re-traverse for the node's own key and link any unlinked upper
@@ -251,6 +215,7 @@ impl UpSkipList {
 mod tests {
     use super::*;
     use crate::config::ListConfig;
+    use crate::layout::{next_off_cfg, node_words, N_SPLIT_COUNT};
     use crate::list::ListBuilder;
 
     fn small_list() -> std::sync::Arc<UpSkipList> {
@@ -346,76 +311,104 @@ mod tests {
         l.check_invariants();
     }
 
-    #[test]
-    fn invariant_check_repairs_split_residue_instead_of_panicking() {
-        let l = small_list();
+    /// Hand-craft Function 20's crash state just after the link CAS (line
+    /// 255): the node holding 10..=40 is write-locked and its split count
+    /// bumped; its level-0 link leads through one new node per `chain`
+    /// entry, in order, to its old successor; and it still holds every key
+    /// (the erasure was lost). Then restart. Returns the old node.
+    fn split_residue(l: &UpSkipList, chain: &[&[(u64, u64)]]) -> RivPtr {
         for k in [10u64, 20, 30, 40] {
             l.insert(k, k * 10);
         }
         let node = l.traverse(10, Descent::Read).landing();
-        // Crash state one step further than `interrupted_split_is_completed`:
-        // the link CAS *and* the split counter are durable, the moved-key
-        // erasure is not. The old node still holds the moved keys (beyond
-        // the new successor's first key) under a stale write lock.
-        let kvs: Vec<(u64, u64)> = vec![(30, 300), (40, 400)];
-        let block = l.alloc_block();
-        l.init_node(block, 1, &kvs);
-        let old_next = l.next(node, 0);
-        l.space().write(
-            block.add(crate::layout::next_off_cfg(l.config(), 0) as u32),
-            old_next.raw(),
-        );
-        l.space().persist(block, node_words(l.config()));
+        let mut next = l.next(node, 0);
+        for kvs in chain.iter().rev() {
+            let block = l.alloc_block();
+            l.init_node(block, 1, kvs);
+            l.space()
+                .write(block.add(next_off_cfg(l.config(), 0) as u32), next.raw());
+            l.space().persist(block, node_words(l.config()));
+            next = block;
+        }
         assert!(rwlock::try_write_lock(l.space(), node));
-        l.space().write(
-            node.add(crate::layout::next_off_cfg(l.config(), 0) as u32),
-            block.raw(),
-        );
         l.space()
-            .fetch_add(node.add(crate::layout::N_SPLIT_COUNT as u32), 1);
+            .write(node.add(next_off_cfg(l.config(), 0) as u32), next.raw());
+        l.space().fetch_add(node.add(N_SPLIT_COUNT as u32), 1);
         l.space().persist(node, node_words(l.config()));
         l.recover();
+        node
+    }
+
+    fn assert_all_four_keys(l: &UpSkipList) {
+        for (k, v) in [(10u64, 100u64), (20, 200), (30, 300), (40, 400)] {
+            assert_eq!(l.get(k), Some(v), "key {k} lost across split recovery");
+        }
+    }
+
+    #[test]
+    fn invariant_check_repairs_split_residue_instead_of_panicking() {
+        let l = small_list();
+        let node = split_residue(&l, &[&[(30, 300), (40, 400)]]);
         // No traversal has claimed the node: the checker itself must apply
         // the deferred repair rather than flagging the residue.
         l.check_invariants();
         assert_eq!(rwlock::load(l.space(), node), 0, "repair released the lock");
-        for (k, v) in [(10u64, 100u64), (20, 200), (30, 300), (40, 400)] {
-            assert_eq!(l.get(k), Some(v), "key {k} lost across split residue");
-        }
+        assert_all_four_keys(&l);
     }
 
     #[test]
     fn interrupted_split_is_completed() {
         let l = small_list();
-        // Fill one node (4 keys) so a split is imminent.
+        split_residue(&l, &[&[(30, 300), (40, 400)]]);
+        assert_all_four_keys(&l);
+        l.check_invariants();
+    }
+
+    /// The split's new node [30, 40] was itself split into [30] and [40]
+    /// before the crash. The repair must erase 40 from the old node too,
+    /// though its immediate successor does not hold it.
+    #[test]
+    fn split_residue_past_a_resplit_successor_is_erased() {
+        let lazy = small_list();
+        split_residue(&lazy, &[&[(30, 300)], &[(40, 400)]]);
+        assert_all_four_keys(&lazy);
+        lazy.check_invariants();
+
+        let eager = small_list();
+        let node = split_residue(&eager, &[&[(30, 300)], &[(40, 400)]]);
+        eager.recover_eagerly();
+        assert_eq!(
+            rwlock::load(eager.space(), node),
+            0,
+            "repair released the lock"
+        );
+        eager.check_invariants();
+        assert_all_four_keys(&eager);
+    }
+
+    /// A live splitter can lock a node the moment a claim's epoch CAS makes
+    /// it current. The claim must judge the split from the lock word it
+    /// read before the CAS, not take the live lock for a dead epoch's.
+    #[test]
+    fn claim_leaves_a_live_splitters_lock_alone() {
+        let l = small_list();
         for k in [10u64, 20, 30, 40] {
-            l.insert(k, k * 10);
+            l.insert(k, k);
         }
         let node = l.traverse(10, Descent::Read).landing();
-        // Hand-craft the crash state of Function 20 just after the link CAS
-        // (line 255): new node linked and holding the upper half, old node
-        // still holding every key, write lock held, split count bumped.
-        let kvs: Vec<(u64, u64)> = vec![(30, 300), (40, 400)];
-        let block = l.alloc_block();
-        l.init_node(block, 1, &kvs);
-        let old_next = l.next(node, 0);
-        l.space().write(
-            block.add(crate::layout::next_off_cfg(l.config(), 0) as u32),
-            old_next.raw(),
-        );
-        l.space().persist(block, node_words(l.config()));
-        assert!(rwlock::try_write_lock(l.space(), node));
-        l.space().write(
-            node.add(crate::layout::next_off_cfg(l.config(), 0) as u32),
-            block.raw(),
-        );
-        l.space()
-            .fetch_add(node.add(crate::layout::N_SPLIT_COUNT as u32), 1);
-        // Crash + restart.
         l.recover();
-        for (k, v) in [(10u64, 100u64), (20, 200), (30, 300), (40, 400)] {
-            assert_eq!(l.get(k), Some(v), "key {k} lost across split recovery");
-        }
+        let words = l.stale_words(node).expect("recover() stales every node");
+        assert_eq!(words.1, 0, "no thread held the lock at the crash");
+        assert!(rwlock::try_write_lock(l.space(), node), "live splitter");
+        assert!(l.claim(node, words), "the claim wins the epoch CAS");
+        assert_eq!(
+            rwlock::load(l.space(), node),
+            rwlock::WRITE_BIT,
+            "the live splitter still holds its lock"
+        );
+        let keys: Vec<u64> = (0..4).map(|i| l.key_at(node, i)).collect();
+        assert_eq!(keys, [10, 20, 30, 40], "the claim erased nothing");
+        rwlock::write_unlock(l.space(), node);
         l.check_invariants();
     }
 }

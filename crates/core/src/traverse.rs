@@ -428,13 +428,13 @@ impl UpSkipList {
         while cur != self.tail {
             // Deferred-recovery contract (§4.4.1): a crash between a
             // split's publishing link CAS and its moved-key erasure leaves
-            // the old node holding keys past its successor's first key,
-            // write-locked and epoch-stale. That residue is sanctioned
-            // state — any traversal that encounters the node claims it and
-            // Function 11 erases the duplicates. This checker visits every
-            // node, so it must apply the same claim-and-repair before
-            // judging key ranges, or it reports the sanctioned residue as
-            // corruption.
+            // the old node holding keys at or above its successor's first
+            // key, write-locked and epoch-stale. That residue is sanctioned
+            // state — any thread that meets the node claims it, and the
+            // claim runs the split's own erasure from the successor's
+            // `keys[0]` (Function 11). This checker visits every node, so
+            // it must make the same claim before judging key ranges, or it
+            // reports the sanctioned residue as corruption.
             if self.node_epoch(cur) != self.epoch() {
                 let _ = self.ensure_current_epoch(cur);
             }

@@ -137,9 +137,16 @@ impl<'a> Analysis<'a> {
         !defs.is_empty() && defs.iter().all(|&i| self.terminal_flush[i])
     }
 
-    /// A call to `name` may leave pmem writes unflushed (ANY definition).
-    pub fn leaves_unflushed_name(&self, name: &str) -> bool {
-        self.defs(name).iter().any(|&i| self.leaves_unflushed[i])
+    /// A call from `caller` to `name` may leave pmem writes unflushed (ANY
+    /// definition it can reach). `#[cfg(test)]` code is compiled only into
+    /// test builds, so a non-test caller reaches no test definition: a test
+    /// fixture that writes unflushed on purpose must not dirty every
+    /// production call of its name.
+    pub fn leaves_unflushed_name(&self, caller: usize, name: &str) -> bool {
+        let test_caller = self.fns[caller].is_test;
+        self.defs(name)
+            .iter()
+            .any(|&i| (test_caller || !self.fns[i].is_test) && self.leaves_unflushed[i])
     }
 
     /// A call to `name` bumps the `StructureEpoch` under every resolution
@@ -187,7 +194,7 @@ impl<'a> Analysis<'a> {
         let mut v: Vec<(usize, Option<&str>)> = self.writes(i).map(|at| (at, None)).collect();
         v.extend(
             self.calls(i)
-                .filter(|&(at, g)| at < cut && self.leaves_unflushed_name(g))
+                .filter(|&(at, g)| at < cut && self.leaves_unflushed_name(i, g))
                 .map(|(at, g)| (at, Some(g))),
         );
         v.sort_unstable_by_key(|&(at, _)| at);

@@ -188,3 +188,37 @@ fn direct_crash_needs_recovery_even_when_a_helper_call_follows() {
         .collect();
     assert_eq!(got, vec![("PMS05", 4)], "{:?}", lint.findings);
 }
+
+#[test]
+fn test_module_fixture_does_not_dirty_production_calls_of_its_name() {
+    // `insert` in the test module writes unflushed on purpose (a fixture
+    // for a lost-ack check). Only test builds compile it, so `load`'s call
+    // resolves to the production `insert`, which persists.
+    let prod = "fn insert(p: &pmem::Pool) {\n\
+                \x20   p.write(8, 1);\n\
+                \x20   p.persist(8, 1);\n\
+                }\n\
+                fn load(p: &pmem::Pool) {\n\
+                \x20   insert(p);\n\
+                }\n";
+    let fixture = "use pmem::Pool;\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   \x20   struct Unflushed(Pool);\n\
+                   \x20   impl Unflushed {\n\
+                   \x20       fn insert(&self) {\n\
+                   \x20           self.0.write(8, 1);\n\
+                   \x20       }\n\
+                   \x20   }\n\
+                   }\n";
+    let lint = scan(&[
+        ("crates/demo/src/a.rs", prod),
+        ("crates/demo/src/b.rs", fixture),
+    ]);
+    let prod_findings: Vec<_> = lint
+        .findings
+        .iter()
+        .filter(|f| f.file == "crates/demo/src/a.rs")
+        .collect();
+    assert!(prod_findings.is_empty(), "{prod_findings:?}");
+}
